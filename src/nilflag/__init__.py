@@ -40,7 +40,6 @@ from .flaggeo import (
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
-    first_primes,
     is_prime,
     jordan_matrix,
     jordan_type,
@@ -48,11 +47,9 @@ from .flaggeo import (
     quotient_type,
 )
 from .qpoly import (
-    InterpolationError,
     LaurentPoly,
     charge,
     gaussian_binomial,
-    interpolate,
     kostka_foulkes,
     modified_kostka_foulkes,
     reading_word,

@@ -30,7 +30,7 @@ from .flaggeo import (
     fiber_polynomial,
 )
 from .qpoly import kostka_foulkes
-from .verifier import FiberStore, bootstrap_stalks, run_suite, verify_schur_weyl
+from .verifier import bootstrap_stalks, run_suite, verify_schur_weyl
 
 ENV_CACHE = "NILFLAG_CACHE"
 EXIT_OK = 0
@@ -77,26 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None)
     add_pretty(p)
 
-    p = sub.add_parser("fiber-poly", help="count polynomial from prime evaluations")
+    p = sub.add_parser(
+        "fiber-poly", help="count polynomial from the vertical-strip Hall recursion")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--dimvec", required=True)
-    p.add_argument("--primes", default=None, help='comma-separated, e.g. "2,3,5"')
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cache", default=None)
     add_pretty(p)
 
     p = sub.add_parser("bootstrap", help="solve the stalk-trace linear systems")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cache", default=None)
     add_pretty(p)
 
     p = sub.add_parser("verify", help="run the full identity suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("polynomial", "numeric"), default="polynomial")
-    p.add_argument("--primes", default=None)
+    p.add_argument(
+        "--primes", default=None,
+        help='primes at which flags are counted, comma-separated (default "2,3")')
     p.add_argument(
         "--convention", choices=("standard", "literal-paper"), default="standard")
     p.add_argument("--report", default=None, help="also write the report to this path")
@@ -167,15 +165,12 @@ def _dispatch(args) -> int:
     if args.command == "fiber-poly":
         lam = check_partition(parse_parts(args.lam))
         dv = check_dimvec(parse_parts(args.dimvec))
-        poly = fiber_polynomial(
-            lam, dv, primes=_parse_primes(args.primes),
-            budget=args.budget, cache=_cache_from(args))
+        poly = fiber_polynomial(lam, dv)
         _emit({"poly": poly.to_text()}, args.pretty)
         return EXIT_OK
 
     if args.command == "bootstrap":
-        fibers = FiberStore(budget=args.budget, cache=_cache_from(args))
-        table = bootstrap_stalks(args.n, args.d, fibers=fibers)
+        table = bootstrap_stalks(args.n, args.d)
         stalks: dict[str, dict[str, str]] = {}
         for (orbit, lam), poly in sorted(table.entries.items()):
             stalks.setdefault(format_parts(orbit), {})[format_parts(lam)] = poly.to_text()

@@ -5,12 +5,16 @@ their unique reduced row-echelon basis, so each subspace has exactly one
 representation.  Vectors are row tuples; a matrix acts on the vector v
 as the column product a*v.
 
-Two independent counting routes are provided.  fiber_count_brute
+Two enumerating routes count flags over one F_p.  fiber_count_brute
 enumerates flags one step at a time straight from the definition.
 fiber_count recurses: the first flag step ranges over subspaces of the
 kernel, the problem descends to the quotient, and results are memoized
 on (Jordan type, remaining jump vector, p); when the operator vanishes
 the step count is a Gaussian binomial and no enumeration happens.
+
+fiber_polynomial gives the count for every q at once, with no field at
+all: the same recursion, with the enumerated tally of quotient types
+replaced by its closed form, the vertical-strip Hall polynomials.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
+from math import prod
 
 from .combinatorics import (
     DimVector,
@@ -26,10 +32,9 @@ from .combinatorics import (
     check_dimvec,
     check_partition,
     conjugate,
-    flag_dim,
-    orbit_dim,
+    n_stat,
 )
-from .qpoly import LaurentPoly, gaussian_binomial, interpolate
+from .qpoly import LaurentPoly, gaussian_binomial
 
 DEFAULT_BUDGET = 10**8
 
@@ -81,23 +86,6 @@ def check_prime(p) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
-
-
-def first_primes(k: int) -> list[int]:
-    out: list[int] = []
-    cand = 2
-    while len(out) < k:
-        if is_prime(cand):
-            out.append(cand)
-        cand += 1
-    return out
-
-
-def next_prime_after(p: int) -> int:
-    cand = p + 1
-    while not is_prime(cand):
-        cand += 1
-    return cand
 
 
 @dataclass(frozen=True)
@@ -468,42 +456,76 @@ class FiberCountRecord:
         )
 
 
+def _flag_total(dimvec, q: int) -> int:
+    """All flags of this type in F_q^d: the Gaussian multinomial [d; dimvec]_q."""
+
+    def q_factorial(k: int) -> int:  # times (q-1)^k, which cancels
+        return prod(q**j - 1 for j in range(1, k + 1))
+
+    return q_factorial(sum(dimvec)) // prod(q_factorial(k) for k in dimvec)
+
+
 class CountCache:
     """Fiber-count store backed by an append-only JSONL file.
 
     One record per line: {"lambda":[2,1],"dimvec":[1,1,1],"q":5,"count":11}.
     A missing file reads as empty; each new record is appended as a
-    single flushed line.
+    single flushed line.  An unparsable final line is a torn write: it is
+    ignored, and cut off before the next append.  An unparsable line
+    anywhere else is an error naming the file and line.  A cached count
+    outside 0 <= count <= [d; dimvec]_q cannot be right, so a lookup
+    treats it as a miss and the recount replaces it.
     """
 
     def __init__(self, path=None):
         self.path = os.fspath(path) if path is not None else None
         self._mem: dict[tuple, int] = {}
-        if self.path is not None and os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    key = (
-                        tuple(rec["lambda"]),
-                        tuple(rec["dimvec"]),
-                        int(rec["q"]),
-                    )
-                    self._mem[key] = int(rec["count"])
+        self._torn_at: int | None = None  # byte offset of a torn final line
+        if self.path is None or not os.path.exists(self.path):
+            return
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        lines = data.split(b"\n")
+        last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+        offset = 0
+        for i, line in enumerate(lines):
+            start, offset = offset, offset + len(line) + 1
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                key = (tuple(rec["lambda"]), tuple(rec["dimvec"]), int(rec["q"]))
+                count = int(rec["count"])
+            except (ValueError, KeyError, TypeError) as exc:
+                if i == last:
+                    self._torn_at = start
+                    break
+                raise ValueError(
+                    f"{self.path}:{i + 1}: malformed cache record: {exc}") from None
+            self._mem[key] = count
 
     def get(self, lam, dimvec, q) -> int | None:
-        return self._mem.get((tuple(lam), tuple(dimvec), int(q)))
+        count = self._mem.get((tuple(lam), tuple(dimvec), int(q)))
+        if count is None or not 0 <= count <= _flag_total(dimvec, q):
+            return None
+        return count
 
     def put(self, record: FiberCountRecord) -> None:
         key = (record.lam, record.dimvec, record.q)
-        if key in self._mem:
+        if self._mem.get(key) == record.count:
             return
         self._mem[key] = record.count
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
+            with open(self.path, "a+b") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
+                # a last line that lost only its newline must not absorb this one
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        fh.write(b"\n")
+                fh.write(record.to_json().encode() + b"\n")
                 fh.flush()
 
     def __len__(self) -> int:
@@ -655,33 +677,55 @@ def fiber_count(lam, dimvec, p, *, budget=None, cache: CountCache | None = None)
     return record
 
 
-def fiber_polynomial(lam, dimvec, *, primes=None, budget=None, cache=None) -> LaurentPoly:
+@cache
+def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly], ...]:
+    """Vertical m-strips lam/mu, each with its Hall polynomial G_{lam,mu}(q).
+
+    G counts the m-dimensional subspaces U of ker(a), for a nilpotent a
+    of type lam, such that a induces type mu on the quotient by U
+    (Macdonald, Symmetric Functions and Hall Polynomials, II (4.6)):
+    q^(n(lam)-n(mu)-n(1^m)) * prod_i [lam'_i-lam'_{i+1} choose lam'_i-mu'_i]_(1/q).
+    A strip takes b_i <= lam'_i - lam'_{i+1} boxes from the foot of
+    column i, and [g choose b]_(1/q) = q^(-b(g-b)) [g choose b]_q.
+    """
+    cols = conjugate(lam)
+    gaps = [c - nxt for c, nxt in zip(cols, cols[1:] + (0,))]
+    base = n_stat(lam) - m * (m - 1) // 2
+    out = []
+    for taken in product(*(range(g + 1) for g in gaps)):
+        if sum(taken) != m:
+            continue
+        mu = conjugate(tuple(c - b for c, b in zip(cols, taken) if c > b))
+        g_poly = LaurentPoly.one()
+        shift = base - n_stat(mu)
+        for g, b in zip(gaps, taken):
+            g_poly = g_poly * gaussian_binomial(g, b)
+            shift -= b * (g - b)
+        out.append((mu, g_poly.shift(shift)))
+    return tuple(out)
+
+
+@cache
+def _fiber_poly(lam: Partition, dims: DimVector) -> LaurentPoly:
+    if len(dims) == 1:
+        # the single step is the whole space; a must vanish on it
+        return LaurentPoly.one() if all(part == 1 for part in lam) else LaurentPoly()
+    total = LaurentPoly()
+    for mu, g_poly in _strip_tally(lam, dims[0]):
+        total = total + g_poly * _fiber_poly(mu, dims[1:])
+    return total
+
+
+def fiber_polynomial(lam, dimvec) -> LaurentPoly:
     """The polynomial in q giving the flag count over every prime field.
 
-    The degree bound flag_dim(dimvec) - orbit_dim(lam)/2 pins down the
-    number of evaluation primes; a negative bound means the fiber must
-    be empty, which is confirmed at one prime.  Interpolation failures
-    signal a wrong bound or a counting bug.
+    The first flag step is an m = dimvec[0] dimensional subspace of
+    ker(a); the quotient types it can leave are the mu with lam/mu a
+    vertical m-strip, reached in G_{lam,mu}(q) ways.  Summing over chains
+    of strips gives the count symbolically: no primes, no enumeration.
     """
     lam = check_partition(lam)
     dimvec = check_dimvec(dimvec)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    bound = flag_dim(dimvec) - orbit_dim(lam) // 2
-    if bound < 0:
-        probe_p = int(primes[0]) if primes else 2
-        probe = fiber_count(lam, dimvec, probe_p, budget=budget, cache=cache)
-        if probe.count:
-            raise ValueError(
-                f"degree bound {bound} is negative but the count at q={probe_p} "
-                f"is {probe.count}")
-        return LaurentPoly()
-    pts = [check_prime(q) for q in primes] if primes is not None else first_primes(bound + 1)
-    if len(set(pts)) < bound + 1:
-        raise ValueError(
-            f"need {bound + 1} distinct primes for degree bound {bound}, got {len(set(pts))}")
-    samples = [
-        (q, fiber_count(lam, dimvec, q, budget=budget, cache=cache).count)
-        for q in pts
-    ]
-    return interpolate(samples, bound)
+    return _fiber_poly(lam, dimvec)

@@ -1,10 +1,14 @@
 """Executable identity suites over the flag-count data, with JSON reports.
 
 Each check compares two independently computed sides of an exact
-identity: interpolated fiber-count polynomials on one side, charge
-q-analogs and weight multiplicities on the other.  Every check returns a
-CheckResult with pass/fail/skipped status and failure witnesses; a
-VerificationReport bundles them with the run parameters.
+identity: fiber-count polynomials from the vertical-strip Hall
+recursion on one side, charge q-analogs and weight multiplicities on the
+other.  The run's primes (2 and 3 unless given) are where flags are
+counted by enumeration over F_q: numeric mode compares those counts with
+the character side, and polynomial mode checks the fiber polynomials
+against them.  Every check returns a CheckResult with pass/fail/skipped
+status and failure witnesses; a VerificationReport bundles them with the
+run parameters.
 """
 
 from __future__ import annotations
@@ -31,14 +35,14 @@ from .combinatorics import (
 from .flaggeo import (
     BudgetExceeded,
     CountCache,
+    check_prime,
     fiber_count,
     fiber_polynomial,
-    first_primes,
-    next_prime_after,
 )
 from .qpoly import LaurentPoly, modified_kostka_foulkes
 
 CONVENTIONS = ("standard", "literal-paper")
+DEFAULT_PRIMES = (2, 3)
 
 
 class StalkConsistencyError(ValueError):
@@ -93,35 +97,18 @@ class StalkTable:
 
 
 class FiberStore:
-    """Shared fiber polynomials and counts for one verification run."""
+    """Fiber polynomials and enumerated counts for one verification run.
 
-    def __init__(self, budget=None, cache: CountCache | None = None, primes=None):
+    Polynomials are pure and memoized in flaggeo; the budget and the
+    count cache apply to the enumerated counts.
+    """
+
+    def __init__(self, budget=None, cache: CountCache | None = None):
         self.budget = budget
         self.cache = cache
-        self.primes = list(primes) if primes is not None else None
-        self._polys: dict[tuple, LaurentPoly] = {}
-
-    def bound(self, lam, dv) -> int:
-        return flag_dim(dv) - orbit_dim(lam) // 2
-
-    def primes_for(self, lam, dv) -> list[int]:
-        b = self.bound(lam, dv)
-        if b < 0:
-            return [self.primes[0]] if self.primes else [2]
-        if self.primes is not None:
-            if len(self.primes) < b + 1:
-                raise ValueError(
-                    f"need {b + 1} primes for ({lam}, {dv}), have {len(self.primes)}")
-            return self.primes[: b + 1]
-        return first_primes(b + 1)
 
     def poly(self, lam, dv) -> LaurentPoly:
-        key = (lam, dv)
-        if key not in self._polys:
-            self._polys[key] = fiber_polynomial(
-                lam, dv, primes=self.primes_for(lam, dv) if self.primes else None,
-                budget=self.budget, cache=self.cache)
-        return self._polys[key]
+        return fiber_polynomial(lam, dv)
 
     def count(self, lam, dv, q) -> int:
         return fiber_count(lam, dv, q, budget=self.budget, cache=self.cache).count
@@ -130,6 +117,16 @@ class FiberStore:
 def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
+
+
+def _count_primes(primes) -> list[int]:
+    """The primes at which flags are counted: DEFAULT_PRIMES unless given."""
+    if primes is None:
+        return list(DEFAULT_PRIMES)
+    checked = [check_prime(q) for q in primes]
+    if not checked:
+        raise ValueError("need at least one prime")
+    return checked
 
 
 def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") -> LaurentPoly:
@@ -172,29 +169,25 @@ def verify_trace_identity(
 ) -> CheckResult:
     """Check the count identity for every (lam, dv) pair at (n, d).
 
-    Polynomial mode demands exact equality of Laurent polynomials and
-    additionally spot-evaluates each pair at a prime not used for
-    interpolation; numeric mode compares integer counts at the supplied
-    primes.
+    Polynomial mode demands exact equality of Laurent polynomials, then
+    checks the fiber polynomial against the enumerated flag count at
+    each of the primes; one pair is one case.  Numeric mode compares the
+    enumerated counts with the character side at each prime, one case
+    per pair and prime.
     """
     _check_convention(convention)
     if mode not in ("polynomial", "numeric"):
         raise ValueError("mode must be 'polynomial' or 'numeric'")
-    fibers = fibers if fibers is not None else FiberStore(primes=primes if mode == "polynomial" else None)
+    fibers = fibers if fibers is not None else FiberStore()
     witnesses: list[dict] = []
     cases = 0
-    numeric_primes = [int(q) for q in primes] if primes else [2, 3]
+    count_primes = _count_primes(primes)
     for lam in enumerate_partitions(n, d):
         for dv in enumerate_dimvecs(n, d):
             rhs = trace_identity_rhs(n, d, lam, dv, convention)
             if mode == "polynomial":
                 cases += 1
-                try:
-                    lhs = fibers.poly(lam, dv)
-                except (ValueError, BudgetExceeded) as exc:
-                    witnesses.append(
-                        {"lambda": list(lam), "dimvec": list(dv), "error": str(exc)})
-                    continue
+                lhs = fibers.poly(lam, dv)
                 if lhs != rhs:
                     witnesses.append({
                         "lambda": list(lam),
@@ -203,30 +196,19 @@ def verify_trace_identity(
                         "right": rhs.to_text(),
                     })
                     continue
-                fresh = next_prime_after(max(fibers.primes_for(lam, dv)))
-                left_val = fibers.count(lam, dv, fresh)
-                right_val = rhs(fresh)
+            else:
+                cases += len(count_primes)
+            for q in count_primes:
+                left_val = fibers.count(lam, dv, q)
+                right_val = rhs(q)
                 if left_val != right_val:
                     witnesses.append({
                         "lambda": list(lam),
                         "dimvec": list(dv),
-                        "q": fresh,
+                        "q": q,
                         "left": str(left_val),
                         "right": str(right_val),
                     })
-            else:
-                for q in numeric_primes:
-                    cases += 1
-                    left_val = fibers.count(lam, dv, q)
-                    right_val = rhs(q)
-                    if left_val != right_val:
-                        witnesses.append({
-                            "lambda": list(lam),
-                            "dimvec": list(dv),
-                            "q": q,
-                            "left": str(left_val),
-                            "right": str(right_val),
-                        })
     witnesses.sort(key=_witness_key)
     return CheckResult(
         "trace_identity", "pass" if not witnesses else "fail", cases, witnesses)
@@ -303,7 +285,7 @@ def verify_stalk_bootstrap(
     cases = 0
     try:
         table = bootstrap_stalks(n, d, fibers=fibers)
-    except (StalkConsistencyError, ValueError, BudgetExceeded) as exc:
+    except ValueError as exc:
         return CheckResult("stalk_bootstrap", "fail", 0, [{"error": str(exc)}]), None
     parts = enumerate_partitions(n, d)
     cases += len(parts) * len(enumerate_dimvecs(n, d))  # consistency equations
@@ -370,13 +352,7 @@ def verify_semismall(n: int, d: int, *, fibers: FiberStore | None = None) -> Che
         global_bound = (cone - orbit_dim(lam)) // 2
         for dv in enumerate_dimvecs(n, d):
             cases += 1
-            try:
-                poly = fibers.poly(lam, dv)
-            except (ValueError, BudgetExceeded) as exc:
-                witnesses.append(
-                    {"lambda": list(lam), "dimvec": list(dv), "error": str(exc)})
-                continue
-            deg = poly.degree()
+            deg = fibers.poly(lam, dv).degree()
             if deg is None:
                 continue
             limit = min(flag_dim(dv) - half_orbit, global_bound)
@@ -406,14 +382,8 @@ def verify_top_components(n: int, d: int, *, fibers: FiberStore | None = None) -
         half_orbit = orbit_dim(lam) // 2
         for dv in enumerate_dimvecs(n, d):
             cases += 1
-            try:
-                poly = fibers.poly(lam, dv)
-            except (ValueError, BudgetExceeded) as exc:
-                witnesses.append(
-                    {"lambda": list(lam), "dimvec": list(dv), "error": str(exc)})
-                continue
             target = flag_dim(dv) - half_orbit
-            got = poly.coeff(target)
+            got = fibers.poly(lam, dv).coeff(target)
             want = kostka_number(conjugate(lam), dv)
             if got != want:
                 witnesses.append({
@@ -506,14 +476,6 @@ def _guarded(name: str, thunk) -> CheckResult:
         return CheckResult(name, "fail", 0, [{"error": str(exc)}])
 
 
-def _max_degree_bound(n: int, d: int) -> int:
-    # largest bound over all pairs: the zero Jordan type against the
-    # most balanced jump vector
-    k, r = divmod(d, n)
-    balanced = (k + 1,) * r + (k,) * (n - r)
-    return flag_dim(balanced)
-
-
 def run_suite(
     n: int,
     d: int,
@@ -535,10 +497,9 @@ def run_suite(
     if mode not in ("polynomial", "numeric"):
         raise ValueError("mode must be 'polynomial' or 'numeric'")
     _check_convention(convention)
+    primes = _count_primes(primes)
 
-    fibers = FiberStore(
-        budget=budget, cache=cache,
-        primes=primes if mode == "polynomial" else None)
+    fibers = FiberStore(budget=budget, cache=cache)
     checks: list[CheckResult] = []
     checks.append(_guarded(
         "trace_identity",
@@ -570,17 +531,11 @@ def run_suite(
     else:
         checks.append(CheckResult("young_rule", "skipped"))
 
-    if primes is not None:
-        shown_primes = [int(q) for q in primes]
-    elif mode == "polynomial":
-        shown_primes = first_primes(_max_degree_bound(n, d) + 1)
-    else:
-        shown_primes = [2, 3]
     params = {
         "n": n,
         "d": d,
         "mode": mode,
-        "primes": shown_primes,
+        "primes": primes,
         "convention": convention,
     }
     checks.sort(key=lambda c: c.name)

@@ -18,7 +18,10 @@ from nilflag.combinatorics import (
     syt_count,
 )
 from nilflag.flaggeo import (
+    Budget,
     CountCache,
+    _kernel_quotient_tally,
+    _strip_tally,
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
@@ -30,7 +33,10 @@ from nilflag.verifier import (
     verify_stalk_hypothesis,
 )
 
-POLYNOMIAL_GRID = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5)]
+POLYNOMIAL_GRID = [
+    (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5),
+    (2, 6), (3, 6), (4, 6), (3, 7),
+]
 NUMERIC_GRID = [(2, 6), (3, 6)]
 
 
@@ -230,3 +236,40 @@ def test_criterion_10_deterministic_reports():
     numeric_second = run_suite(2, 4, mode="numeric").to_json()
     ok = first == second and numeric_first == numeric_second
     _criterion(10, "consecutive verify runs are byte-identical", ok)
+
+
+def test_criterion_11_strip_engine_against_enumeration():
+    t0 = time.perf_counter()
+    tally_bad = []
+    tallies = 0
+    for d in range(1, 6):
+        for lam in enumerate_partitions(d, d):
+            for m in range(len(lam) + 1):
+                for p in (2, 3, 5):
+                    tallies += 1
+                    enumerated = dict(_kernel_quotient_tally(lam, m, p, Budget()))
+                    strips = {mu: g(p) for mu, g in _strip_tally(lam, m) if g(p)}
+                    if strips != enumerated:
+                        tally_bad.append((lam, m, p, strips, enumerated))
+    poly_bad = []
+    instances = 0
+    for d in range(1, 5):
+        for n in range(1, 5):
+            for lam in enumerate_partitions(d, d):
+                for dv in enumerate_dimvecs(n, d):
+                    poly = fiber_polynomial(lam, dv)
+                    for p in (2, 3):
+                        instances += 1
+                        brute = fiber_count_brute(lam, dv, p).count
+                        if poly(p) != brute:
+                            poly_bad.append((lam, dv, p, poly.to_text(), brute))
+    elapsed = time.perf_counter() - t0
+    _criterion(
+        11,
+        "vertical-strip Hall polynomials equal the enumerated kernel/quotient "
+        "tally for |lambda| <= 5, p in {2,3,5}; fiber_polynomial equals "
+        "fiber_count_brute for d <= 4, p in {2,3}",
+        not tally_bad and not poly_bad and tallies >= 150 and instances >= 400,
+        f"{tallies} tallies, {instances} instances, {elapsed:.1f}s, "
+        f"mismatches={(tally_bad + poly_bad)[:3]}",
+    )

@@ -196,3 +196,27 @@ def test_round_trip_of_partition_output(capsys):
 
     parsed = [check_partition(p) for p in payload["partitions"]]
     assert parsed == enumerate_partitions(3, 4)
+
+
+def test_torn_and_poisoned_cache_records(tmp_path, capsys):
+    cache_path = tmp_path / "counts.jsonl"
+    cache_path.write_text(
+        '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n{"lambda":[2,1],"dim')
+    code, payload = run_json(
+        capsys, "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3",
+        "--cache", str(cache_path))
+    assert code == EXIT_OK and payload == {"count": 4}
+    code, payload = run_json(
+        capsys, "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3",
+        "--cache", str(cache_path))
+    assert code == EXIT_OK and payload == {"count": 4}
+
+
+def test_malformed_cache_line_exits_2(tmp_path, capsys):
+    cache_path = tmp_path / "counts.jsonl"
+    cache_path.write_text('not json\n{"lambda":[1],"dimvec":[1],"q":2,"count":1}\n')
+    code = run([
+        "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3",
+        "--cache", str(cache_path)])
+    assert code == EXIT_USAGE
+    assert "counts.jsonl:1" in capsys.readouterr().err

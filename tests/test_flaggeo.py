@@ -26,22 +26,19 @@ from nilflag.flaggeo import (
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
-    first_primes,
     is_prime,
     jordan_matrix,
     jordan_type,
     kernel_subspace,
-    next_prime_after,
     quotient_type,
     reset_caches,
 )
 from nilflag.qpoly import LaurentPoly, gaussian_binomial
+from oracles import interpolate
 
 
 def test_primes():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert first_primes(5) == [2, 3, 5, 7, 11]
-    assert next_prime_after(7) == 11
     with pytest.raises(ValueError):
         PrimeField(4)
 
@@ -335,28 +332,28 @@ def test_fiber_polynomial_fixed_points():
 
 
 def test_fiber_polynomial_properties():
+    primes = [2, 3, 5, 7, 11, 13, 17]
     for n, d in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
         for lam in enumerate_partitions(n, d):
             bound_base = orbit_dim(lam) // 2
             for dv in enumerate_dimvecs(n, d):
                 poly = fiber_polynomial(lam, dv)
                 assert all(c > 0 for _, c in poly.items())
-                deg = poly.degree()
-                if deg is not None:
-                    assert deg <= flag_dim(dv) - bound_base
-                # evaluation at a prime not used for interpolation
                 bound = flag_dim(dv) - bound_base
-                used = first_primes(bound + 1) if bound >= 0 else [2]
-                fresh = next_prime_after(max(used))
-                assert poly(fresh) == fiber_count(lam, dv, fresh).count
+                if bound < 0:
+                    assert poly.is_zero and fiber_count(lam, dv, 2).count == 0
+                    continue
+                # the interpolant of enumerated counts at bound + 2 primes
+                # has degree <= bound and equals the strip polynomial
+                samples = [(p, fiber_count(lam, dv, p).count) for p in primes[: bound + 2]]
+                assert interpolate(samples, bound) == poly, (lam, dv)
 
 
-def test_fiber_polynomial_prime_overrides():
-    assert fiber_polynomial((2, 1), (1, 1, 1), primes=[3, 5]) == LaurentPoly({1: 2, 0: 1})
+def test_fiber_polynomial_validation():
     with pytest.raises(ValueError):
-        fiber_polynomial((2, 1), (1, 1, 1), primes=[3])
+        fiber_polynomial((2, 1), (1, 1))
     with pytest.raises(ValueError):
-        fiber_polynomial((1, 1), (1, 1), primes=[4, 6])
+        fiber_polynomial((1, 2), (2, 1))
 
 
 def test_budget_refusal():
@@ -402,3 +399,52 @@ def test_cached_counts_skip_enumeration(tmp_path):
     rec = fiber_count((2, 2, 1), (2, 2, 1), 3, cache=fresh_cache)
     assert STATS["subspaces"] == before
     assert rec.count == fiber_count_brute((2, 2, 1), (2, 2, 1), 3).count
+
+
+def test_count_cache_ignores_torn_final_line(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(
+        '{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}\n{"lambda":[2,1],"dim\n')
+    cache = CountCache(path)
+    assert cache.get((1, 1), (1, 1), 2) == 3
+    assert len(cache) == 1
+    # the next append replaces the torn line, so the file reloads cleanly
+    fiber_count((2, 1), (1, 1, 1), 5, cache=cache)
+    assert path.read_text().splitlines() == [
+        '{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}',
+        '{"lambda":[2,1],"dimvec":[1,1,1],"q":5,"count":11}',
+    ]
+    assert CountCache(path).get((2, 1), (1, 1, 1), 5) == 11
+    # a complete last record that lost only its newline is kept
+    path.write_text('{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}')
+    cache = CountCache(path)
+    fiber_count((2,), (1, 1), 2, cache=cache)
+    assert len(CountCache(path)) == 2
+
+
+def test_count_cache_rejects_malformed_interior_line(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(
+        '{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}\n'
+        '{"lambda":[2,1],"dim\n'
+        '{"lambda":[2],"dimvec":[1,1],"q":2,"count":1}\n')
+    with pytest.raises(ValueError, match=r"counts\.jsonl:2: malformed"):
+        CountCache(path)
+
+
+def test_count_cache_recounts_impossible_counts(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    # [2; 1,1]_3 = 4 flags in all, so 999 and -1 cannot be counts
+    path.write_text(
+        '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n'
+        '{"lambda":[2],"dimvec":[1,1],"q":3,"count":-1}\n')
+    cache = CountCache(path)
+    assert cache.get((1, 1), (1, 1), 3) is None
+    assert fiber_count((1, 1), (1, 1), 3, cache=cache).count == 4
+    assert fiber_count((2,), (1, 1), 3, cache=cache).count == 1
+    reloaded = CountCache(path)
+    assert reloaded.get((1, 1), (1, 1), 3) == 4
+    assert reloaded.get((2,), (1, 1), 3) == 1
+    # a count at the bound itself is kept
+    path.write_text('{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":4}\n')
+    assert CountCache(path).get((1, 1), (1, 1), 3) == 4

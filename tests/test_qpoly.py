@@ -10,16 +10,15 @@ from nilflag.combinatorics import (
     n_stat,
 )
 from nilflag.qpoly import (
-    InterpolationError,
     LaurentPoly,
     charge,
     gaussian_binomial,
-    interpolate,
     kostka_foulkes,
     modified_kostka_foulkes,
     reading_word,
     word_charge,
 )
+from oracles import InterpolationError, interpolate
 
 Q = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})

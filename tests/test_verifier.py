@@ -147,7 +147,7 @@ class TestSuite:
             "n": 2,
             "d": 3,
             "mode": "polynomial",
-            "primes": [2, 3, 5],
+            "primes": [2, 3],
             "convention": "standard",
         }
 
@@ -185,6 +185,16 @@ class TestSuite:
         assert r1 == r2
         assert path.exists() and path.read_text().strip()
 
+    def test_primes_are_count_primes_in_both_modes(self):
+        for mode in ("polynomial", "numeric"):
+            report = run_suite(2, 3, mode=mode, primes=[5, 7])
+            assert report.ok
+            assert report.params["primes"] == [5, 7]
+        with pytest.raises(ValueError):
+            run_suite(2, 3, primes=[4])
+        with pytest.raises(ValueError):
+            run_suite(2, 3, primes=[])
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             run_suite(0, 2)
@@ -201,8 +211,3 @@ class TestFiberStore:
         b = store.poly((2, 1), (1, 1, 1))
         assert a is b
         assert store.count((2, 1), (1, 1, 1), 7) == 15
-
-    def test_explicit_primes_must_suffice(self):
-        store = FiberStore(primes=[2])
-        with pytest.raises(ValueError):
-            store.poly((1, 1), (1, 1))
