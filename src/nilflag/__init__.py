@@ -34,7 +34,6 @@ from .flaggeo import (
     FiberCountRecord,
     FqMatrix,
     FqSubspace,
-    PrimeField,
     count_flags,
     enumerate_subspaces,
     fiber_count,
@@ -57,7 +56,6 @@ from .qpoly import (
 )
 from .verifier import (
     CheckResult,
-    FiberStore,
     StalkConsistencyError,
     StalkTable,
     VerificationReport,

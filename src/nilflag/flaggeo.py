@@ -9,8 +9,9 @@ Two enumerating routes count flags over one F_p.  fiber_count_brute
 enumerates flags one step at a time straight from the definition.
 fiber_count recurses: the first flag step ranges over subspaces of the
 kernel, the problem descends to the quotient, and results are memoized
-on (Jordan type, remaining jump vector, p); when the operator vanishes
-the step count is a Gaussian binomial and no enumeration happens.
+on (Jordan type, remaining jump vector, p) in the Budget that paid for
+their enumeration; when the operator vanishes the step count is a
+Gaussian binomial and no enumeration happens.
 
 fiber_polynomial gives the count for every q at once, with no field at
 all: the same recursion, with the enumerated tally of quotient types
@@ -47,13 +48,23 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Caps the number of canonical forms one counting call may produce."""
+    """Caps the subspaces one run enumerates, and holds what they paid for.
+
+    A run is one fiber_count call given an int or None, or every call
+    sharing this Budget.  The memo (Jordan type, remaining jumps, p) ->
+    count and the tally (Jordan type, first jump, p) -> ((quotient type,
+    multiplicity), ...) live here, so a count is reused only under the
+    budget that was charged for it and an outcome never depends on what
+    the process computed before.
+    """
 
     def __init__(self, limit: int | None = None):
         self.limit = DEFAULT_BUDGET if limit is None else int(limit)
         if self.limit < 0:
             raise ValueError("budget must be non-negative")
         self.used = 0
+        self.memo: dict[tuple, int] = {}
+        self.tally: dict[tuple, tuple] = {}
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount
@@ -88,40 +99,6 @@ def check_prime(p) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field with p elements; elements are residues 0..p-1."""
-
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        r = pow(a, self.p - 2, self.p)
-        if (a * r) % self.p != 1:
-            raise ArithmeticError("inverse failed its multiplication check")
-        return r
-
-
 def _rref(rows, p: int):
     """Reduced row echelon form: (pivot columns, nonzero rows)."""
     mat = [list(r) for r in rows]
@@ -147,30 +124,6 @@ def _rref(rows, p: int):
         if r == len(mat):
             break
     return tuple(pivots), tuple(tuple(row) for row in mat[:r])
-
-
-def _rank(rows, p: int) -> int:
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    if n == 0:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, n) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        prow = mat[rank]
-        inv = pow(prow[c] % p, p - 2, p)
-        for i in range(rank + 1, n):
-            f = (mat[i][c] * inv) % p
-            if f:
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
-        rank += 1
-        if rank == n:
-            break
-    return rank
 
 
 def _matmul(a, b, p: int):
@@ -216,7 +169,7 @@ class FqMatrix:
         return FqMatrix(self.p, _matmul(self.rows, other.rows, self.p))
 
     def rank(self) -> int:
-        return _rank(self.rows, self.p)
+        return len(_rref(self.rows, self.p)[1])
 
     def transpose(self) -> "FqMatrix":
         return FqMatrix(self.p, tuple(zip(*self.rows)) if self.rows else ())
@@ -355,7 +308,7 @@ def _nilpotent_type(rows, p: int) -> Partition:
     ranks = [k]
     power = rows
     for _ in range(k):
-        r = _rank(power, p)
+        r = len(_rref(power, p)[1])
         ranks.append(r)
         if r == 0:
             break
@@ -588,21 +541,9 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
     return FiberCountRecord(lam, dimvec, p, count)
 
 
-# memo: (jordan type, remaining jumps, p) -> count
-_MEMO: dict = {}
-# tally: (jordan type, first jump, p) -> ((quotient type, multiplicity), ...)
-_TALLY: dict = {}
-
-
-def reset_caches() -> None:
-    """Drop the in-process memo tables (mainly for tests and benchmarks)."""
-    _MEMO.clear()
-    _TALLY.clear()
-
-
 def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     key = (lam, d1, p)
-    hit = _TALLY.get(key)
+    hit = budget.tally.get(key)
     if hit is not None:
         return hit
     a = jordan_matrix(lam, p)
@@ -617,13 +558,13 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
         tau = _induced_type(acols, vpivots, vrows, d, p)
         counts[tau] = counts.get(tau, 0) + 1
     result = tuple(sorted(counts.items()))
-    _TALLY[key] = result
+    budget.tally[key] = result
     return result
 
 
 def _flag_count(lam: Partition, dims: DimVector, p: int, budget: Budget) -> int:
     key = (lam, dims, p)
-    hit = _MEMO.get(key)
+    hit = budget.memo.get(key)
     if hit is not None:
         return hit
     d = sum(lam)
@@ -651,15 +592,16 @@ def _flag_count(lam: Partition, dims: DimVector, p: int, budget: Budget) -> int:
             count = 0
             for tau, mult in _kernel_quotient_tally(lam, d1, p, budget):
                 count += mult * _flag_count(tau, dims[1:], p, budget)
-    _MEMO[key] = count
+    budget.memo[key] = count
     return count
 
 
 def fiber_count(lam, dimvec, p, *, budget=None, cache: CountCache | None = None) -> FiberCountRecord:
     """Exact flag count via the kernel/quotient recursion (the fast route).
 
-    Agrees with fiber_count_brute everywhere; memoized on (Jordan type,
-    remaining jump vector, p).
+    Agrees with fiber_count_brute everywhere.  An int or None budget
+    starts a fresh Budget; pass a Budget to share its limit and its memo
+    across calls.  A refusal names the instance that ran out.
     """
     lam = check_partition(lam)
     dimvec = check_dimvec(dimvec)
@@ -670,7 +612,11 @@ def fiber_count(lam, dimvec, p, *, budget=None, cache: CountCache | None = None)
         hit = cache.get(lam, dimvec, p)
         if hit is not None:
             return FiberCountRecord(lam, dimvec, p, hit)
-    count = _flag_count(lam, dimvec, p, _as_budget(budget))
+    try:
+        count = _flag_count(lam, dimvec, p, _as_budget(budget))
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
     record = FiberCountRecord(lam, dimvec, p, count)
     if cache is not None:
         cache.put(record)

@@ -73,20 +73,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    @property
-    def is_polynomial(self) -> bool:
-        """True when no negative exponent occurs."""
-        return all(e >= 0 for e in self._c)
-
     def degree(self) -> int | None:
         """Largest exponent; None for the zero polynomial."""
         return max(self._c) if self._c else None
-
-    def low_degree(self) -> int | None:
-        return min(self._c) if self._c else None
-
-    def leading_coefficient(self) -> int:
-        return self._c[max(self._c)] if self._c else 0
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q**k (k may be negative)."""
@@ -94,10 +83,6 @@ class LaurentPoly:
 
     def scale(self, factor: int) -> "LaurentPoly":
         return LaurentPoly({e: c * factor for e, c in self._c.items()})
-
-    def inverted(self) -> "LaurentPoly":
-        """Substitute q -> 1/q."""
-        return LaurentPoly({-e: c for e, c in self._c.items()})
 
     def __add__(self, other):
         other = _coerce(other)

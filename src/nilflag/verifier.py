@@ -33,8 +33,8 @@ from .combinatorics import (
     syt_count,
 )
 from .flaggeo import (
-    BudgetExceeded,
     CountCache,
+    _as_budget,
     check_prime,
     fiber_count,
     fiber_polynomial,
@@ -96,24 +96,6 @@ class StalkTable:
         return self.entries[(tuple(orbit), tuple(point_type))]
 
 
-class FiberStore:
-    """Fiber polynomials and enumerated counts for one verification run.
-
-    Polynomials are pure and memoized in flaggeo; the budget and the
-    count cache apply to the enumerated counts.
-    """
-
-    def __init__(self, budget=None, cache: CountCache | None = None):
-        self.budget = budget
-        self.cache = cache
-
-    def poly(self, lam, dv) -> LaurentPoly:
-        return fiber_polynomial(lam, dv)
-
-    def count(self, lam, dv, q) -> int:
-        return fiber_count(lam, dv, q, budget=self.budget, cache=self.cache).count
-
-
 def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -165,7 +147,8 @@ def verify_trace_identity(
     mode: str = "polynomial",
     primes=None,
     convention: str = "standard",
-    fibers: FiberStore | None = None,
+    budget=None,
+    cache: CountCache | None = None,
 ) -> CheckResult:
     """Check the count identity for every (lam, dv) pair at (n, d).
 
@@ -173,12 +156,13 @@ def verify_trace_identity(
     checks the fiber polynomial against the enumerated flag count at
     each of the primes; one pair is one case.  Numeric mode compares the
     enumerated counts with the character side at each prime, one case
-    per pair and prime.
+    per pair and prime.  One Budget covers every count of the run; a
+    refusal raises BudgetExceeded.
     """
     _check_convention(convention)
     if mode not in ("polynomial", "numeric"):
         raise ValueError("mode must be 'polynomial' or 'numeric'")
-    fibers = fibers if fibers is not None else FiberStore()
+    budget = _as_budget(budget)
     witnesses: list[dict] = []
     cases = 0
     count_primes = _count_primes(primes)
@@ -187,7 +171,7 @@ def verify_trace_identity(
             rhs = trace_identity_rhs(n, d, lam, dv, convention)
             if mode == "polynomial":
                 cases += 1
-                lhs = fibers.poly(lam, dv)
+                lhs = fiber_polynomial(lam, dv)
                 if lhs != rhs:
                     witnesses.append({
                         "lambda": list(lam),
@@ -199,7 +183,7 @@ def verify_trace_identity(
             else:
                 cases += len(count_primes)
             for q in count_primes:
-                left_val = fibers.count(lam, dv, q)
+                left_val = fiber_count(lam, dv, q, budget=budget, cache=cache).count
                 right_val = rhs(q)
                 if left_val != right_val:
                     witnesses.append({
@@ -218,7 +202,6 @@ def bootstrap_stalks(
     n: int,
     d: int,
     *,
-    fibers: FiberStore | None = None,
     row_order: str = "descending",
 ) -> StalkTable:
     """Solve for the stalk traces from normalized fiber polynomials.
@@ -234,7 +217,6 @@ def bootstrap_stalks(
     """
     if row_order not in ("descending", "ascending"):
         raise ValueError("row_order must be 'descending' or 'ascending'")
-    fibers = fibers if fibers is not None else FiberStore()
     parts = enumerate_partitions(n, d)
     mus = {P: conjugate(P) + (0,) * (n - len(conjugate(P))) for P in parts}
     order = sorted(parts, key=lambda P: mus[P], reverse=True)
@@ -247,7 +229,7 @@ def bootstrap_stalks(
     for lam in parts:
 
         def normalized(dv) -> LaurentPoly:
-            return fibers.poly(lam, dv).shift(-flag_dim(dv))
+            return fiber_polynomial(lam, dv).shift(-flag_dim(dv))
 
         solved: dict[Partition, LaurentPoly] = {}
         for i, P in enumerate(order):
@@ -273,9 +255,7 @@ def bootstrap_stalks(
     return StalkTable(n, d, entries)
 
 
-def verify_stalk_bootstrap(
-    n: int, d: int, *, fibers: FiberStore | None = None
-) -> tuple[CheckResult, StalkTable | None]:
+def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, StalkTable | None]:
     """Solve the stalk systems and validate the table invariants.
 
     Invariants: t_P(lam) vanishes unless P dominates lam, and
@@ -284,7 +264,7 @@ def verify_stalk_bootstrap(
     witnesses: list[dict] = []
     cases = 0
     try:
-        table = bootstrap_stalks(n, d, fibers=fibers)
+        table = bootstrap_stalks(n, d)
     except ValueError as exc:
         return CheckResult("stalk_bootstrap", "fail", 0, [{"error": str(exc)}]), None
     parts = enumerate_partitions(n, d)
@@ -337,13 +317,12 @@ def verify_stalk_hypothesis(table: StalkTable) -> CheckResult:
         "stalk_hypothesis", "pass" if not witnesses else "fail", cases, witnesses)
 
 
-def verify_semismall(n: int, d: int, *, fibers: FiberStore | None = None) -> CheckResult:
+def verify_semismall(n: int, d: int) -> CheckResult:
     """Degree bounds on every fiber polynomial.
 
     deg <= flag_dim(dv) - orbit_dim(lam)/2 per component, and
     deg <= (nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
     """
-    fibers = fibers if fibers is not None else FiberStore()
     witnesses: list[dict] = []
     cases = 0
     cone = nilcone_dim(n, d)
@@ -352,7 +331,7 @@ def verify_semismall(n: int, d: int, *, fibers: FiberStore | None = None) -> Che
         global_bound = (cone - orbit_dim(lam)) // 2
         for dv in enumerate_dimvecs(n, d):
             cases += 1
-            deg = fibers.poly(lam, dv).degree()
+            deg = fiber_polynomial(lam, dv).degree()
             if deg is None:
                 continue
             limit = min(flag_dim(dv) - half_orbit, global_bound)
@@ -368,14 +347,13 @@ def verify_semismall(n: int, d: int, *, fibers: FiberStore | None = None) -> Che
         "semismall", "pass" if not witnesses else "fail", cases, witnesses)
 
 
-def verify_top_components(n: int, d: int, *, fibers: FiberStore | None = None) -> CheckResult:
+def verify_top_components(n: int, d: int) -> CheckResult:
     """Top coefficients of fiber polynomials against weight multiplicities.
 
     The coefficient at degree flag_dim(dv) - orbit_dim(lam)/2 must equal
     kostka_number(conjugate(lam), dv): it counts the top-dimensional
     components of the fiber piece.
     """
-    fibers = fibers if fibers is not None else FiberStore()
     witnesses: list[dict] = []
     cases = 0
     for lam in enumerate_partitions(n, d):
@@ -383,7 +361,7 @@ def verify_top_components(n: int, d: int, *, fibers: FiberStore | None = None) -
         for dv in enumerate_dimvecs(n, d):
             cases += 1
             target = flag_dim(dv) - half_orbit
-            got = fibers.poly(lam, dv).coeff(target)
+            got = fiber_polynomial(lam, dv).coeff(target)
             want = kostka_number(conjugate(lam), dv)
             if got != want:
                 witnesses.append({
@@ -472,7 +450,7 @@ def verify_young_rule(d: int) -> CheckResult:
 def _guarded(name: str, thunk) -> CheckResult:
     try:
         return thunk()
-    except (ValueError, ArithmeticError, BudgetExceeded) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return CheckResult(name, "fail", 0, [{"error": str(exc)}])
 
 
@@ -490,7 +468,9 @@ def run_suite(
 
     Checks appear sorted by name; polynomial-only checks are reported as
     skipped in numeric mode.  The report carries no timestamps, so equal
-    parameters give byte-identical output.
+    parameters give byte-identical output.  The budget caps the subspaces
+    the whole run enumerates; running out raises BudgetExceeded, since a
+    refusal is no verdict on the identities.
     """
     if n < 1 or d < 1:
         raise ValueError("run_suite needs n >= 1 and d >= 1")
@@ -499,19 +479,17 @@ def run_suite(
     _check_convention(convention)
     primes = _count_primes(primes)
 
-    fibers = FiberStore(budget=budget, cache=cache)
     checks: list[CheckResult] = []
     checks.append(_guarded(
         "trace_identity",
         lambda: verify_trace_identity(
-            n, d, mode=mode, primes=primes, convention=convention, fibers=fibers)))
+            n, d, mode=mode, primes=primes, convention=convention,
+            budget=budget, cache=cache)))
 
     if mode == "polynomial":
-        checks.append(_guarded(
-            "semismall", lambda: verify_semismall(n, d, fibers=fibers)))
-        checks.append(_guarded(
-            "top_components", lambda: verify_top_components(n, d, fibers=fibers)))
-        bootstrap_check, table = verify_stalk_bootstrap(n, d, fibers=fibers)
+        checks.append(_guarded("semismall", lambda: verify_semismall(n, d)))
+        checks.append(_guarded("top_components", lambda: verify_top_components(n, d)))
+        bootstrap_check, table = verify_stalk_bootstrap(n, d)
         checks.append(bootstrap_check)
         if table is not None:
             checks.append(_guarded(

@@ -164,14 +164,11 @@ def test_criterion_06_top_components(grid_reports):
     )
 
 
-def test_criterion_07_stalk_bootstrap(shared_cache):
-    from nilflag.verifier import FiberStore
-
+def test_criterion_07_stalk_bootstrap():
     failures = []
     for d in range(1, 5):
         for n in range(1, 5):
-            fibers = FiberStore(cache=shared_cache)
-            check, table = verify_stalk_bootstrap(n, d, fibers=fibers)
+            check, table = verify_stalk_bootstrap(n, d)
             if check.status != "pass" or table is None:
                 failures.append(((n, d), "bootstrap", check.witnesses[:2]))
                 continue

@@ -124,13 +124,11 @@ def test_verify_deterministic_output(capsys):
 
 def test_verify_cache_skips_enumeration(tmp_path, capsys):
     cache_path = tmp_path / "counts.jsonl"
-    flaggeo.reset_caches()
     code1 = run(["verify", "--n", "3", "--d", "3", "--cache", str(cache_path)])
     out1 = capsys.readouterr().out
     assert code1 == EXIT_OK
     assert cache_path.exists()
 
-    flaggeo.reset_caches()
     before = flaggeo.STATS["subspaces"]
     code2 = run(["verify", "--n", "3", "--d", "3", "--cache", str(cache_path)])
     out2 = capsys.readouterr().out
@@ -163,12 +161,21 @@ def test_invalid_partition_exits_2(capsys):
 
 
 def test_budget_exhaustion_exits_2(capsys):
-    flaggeo.reset_caches()
     code = run([
         "fiber-count", "--lambda", "2,1,1", "--dimvec", "1,1,1,1", "--q", "3",
         "--budget", "2"])
     assert code == EXIT_USAGE
     assert "budget" in capsys.readouterr().err
+    # the budget covers the whole verify run, not each count
+    assert run(["verify", "--n", "2", "--d", "3", "--budget", "5"]) == EXIT_USAGE
+    capsys.readouterr()
+    # polynomial verify at (3,5) enumerates exactly 448 subspaces
+    code = run(["verify", "--n", "3", "--d", "5", "--budget", "447"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "budget" in captured.err and "counting lambda=" in captured.err
+    assert run(["verify", "--n", "3", "--d", "5", "--budget", "448"]) == EXIT_OK
 
 
 def test_unknown_command_exits_2(capsys):

@@ -40,7 +40,6 @@ class TestLaurentPoly:
     def test_shift_and_invert(self):
         assert (Q + ONE).shift(-1) == LaurentPoly({0: 1, -1: 1})
         assert (Q + ONE).shift(2) == LaurentPoly({3: 1, 2: 1})
-        assert LaurentPoly({2: 5, -1: 3}).inverted() == LaurentPoly({-2: 5, 1: 3})
 
     def test_no_zero_coefficients_stored(self):
         p = LaurentPoly({1: 1}) + LaurentPoly({1: -1})
@@ -51,8 +50,6 @@ class TestLaurentPoly:
     def test_degree_and_coeff(self):
         p = LaurentPoly({3: 2, 0: -1, -2: 7})
         assert p.degree() == 3
-        assert p.low_degree() == -2
-        assert p.leading_coefficient() == 2
         assert p.coeff(0) == -1
         assert p.coeff(99) == 0
         assert LaurentPoly().degree() is None
@@ -160,7 +157,7 @@ class TestKostkaFoulkes:
                     kf = kostka_foulkes(shape, weight)
                     if not kf.is_zero:
                         assert kf.degree() == n_stat(weight) - n_stat(shape)
-                        assert kf.leading_coefficient() == 1
+                        assert kf.items()[0] == (kf.degree(), 1)  # monic
 
     def test_weight_must_be_partition(self):
         with pytest.raises(ValueError):
@@ -183,7 +180,7 @@ class TestModifiedKostkaFoulkes:
                 for mu in parts:
                     mkf = modified_kostka_foulkes(lam, mu)
                     assert mkf(1) == kostka_number(lam, mu)
-                    assert mkf.is_polynomial
+                    assert all(e >= 0 for e, _ in mkf.items())
 
 
 def brute_subspace_count(m, k, p):

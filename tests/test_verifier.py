@@ -11,7 +11,6 @@ from nilflag.combinatorics import (
 from nilflag.flaggeo import CountCache, fiber_polynomial
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
 from nilflag.verifier import (
-    FiberStore,
     bootstrap_stalks,
     run_suite,
     trace_identity_rhs,
@@ -202,12 +201,3 @@ class TestSuite:
             run_suite(2, 2, mode="exact")
         with pytest.raises(ValueError):
             run_suite(2, 2, convention="mirror")
-
-
-class TestFiberStore:
-    def test_store_reuses_polynomials(self):
-        store = FiberStore()
-        a = store.poly((2, 1), (1, 1, 1))
-        b = store.poly((2, 1), (1, 1, 1))
-        assert a is b
-        assert store.count((2, 1), (1, 1, 1), 7) == 15
