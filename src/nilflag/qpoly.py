@@ -139,12 +139,7 @@ class LaurentPoly:
     def __call__(self, x: int):
         """Exact evaluation; returns an int, or a Fraction when q->x
         hits a negative exponent that does not divide out."""
-        total = Fraction(0)
-        for e, c in self._c.items():
-            if e >= 0:
-                total += c * x**e
-            else:
-                total += Fraction(c, x ** (-e))
+        total = sum(c * x**e if e >= 0 else Fraction(c, x ** -e) for e, c in self._c.items())
         return int(total) if total.denominator == 1 else total
 
     def __eq__(self, other):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from .combinatorics import (
     DimVector,
     Partition,
+    check_dimvec,
+    check_partition,
     conjugate,
     dominates,
     enumerate_dimvecs,
@@ -43,6 +45,10 @@ from .qpoly import LaurentPoly, modified_kostka_foulkes
 
 CONVENTIONS = ("standard", "literal-paper")
 DEFAULT_PRIMES = (2, 3)
+# largest sizes verify_schur_weyl and verify_young_rule accept; run_suite
+# reports the check as skipped beyond them
+SCHUR_WEYL_MAX_N, SCHUR_WEYL_MAX_D = 6, 7
+YOUNG_RULE_MAX_D = 8
 
 
 class StalkConsistencyError(ValueError):
@@ -108,6 +114,9 @@ def _count_primes(primes) -> list[int]:
     checked = [check_prime(q) for q in primes]
     if not checked:
         raise ValueError("need at least one prime")
+    for i, q in enumerate(checked):
+        if q in checked[:i]:
+            raise ValueError(f"prime {q} is given more than once")
     return checked
 
 
@@ -120,8 +129,16 @@ def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") ->
     convention reads that multiplicity off the conjugate shape; the
     literal-paper convention keeps P itself and is retained only to show
     it fails.
+
+    Weight multiplicities and flag_dim are invariant under permuting dv,
+    so the value depends on dv only through its sorted weight.  lam must
+    be a partition of d and dv an n-vector summing to d.
     """
     _check_convention(convention)
+    lam = check_partition(lam)
+    dv = check_dimvec(dv, n)
+    if sum(lam) != d or sum(dv) != d:
+        raise ValueError(f"lambda {lam} and dimvec {dv} must both sum to d={d}")
     total = LaurentPoly()
     for P in enumerate_partitions(n, d):
         weight_shape = conjugate(P) if convention == "standard" else P
@@ -158,6 +175,11 @@ def verify_trace_identity(
     enumerated counts with the character side at each prime, one case
     per pair and prime.  One Budget covers every count of the run; a
     refusal raises BudgetExceeded.
+
+    The character side depends on dv only through its sorted weight, so
+    trace_identity_rhs runs once per (lam, weight) and is evaluated once
+    per (lam, weight, prime); the fiber side is still computed per dv,
+    and every witness carries its own dv.
     """
     _check_convention(convention)
     if mode not in ("polynomial", "numeric"):
@@ -166,9 +188,16 @@ def verify_trace_identity(
     witnesses: list[dict] = []
     cases = 0
     count_primes = _count_primes(primes)
+    dimvecs = enumerate_dimvecs(n, d)
     for lam in enumerate_partitions(n, d):
-        for dv in enumerate_dimvecs(n, d):
-            rhs = trace_identity_rhs(n, d, lam, dv, convention)
+        # the right side and its values at the primes, per sorted weight
+        by_weight: dict[DimVector, tuple[LaurentPoly, list]] = {}
+        for dv in dimvecs:
+            weight = tuple(sorted(dv, reverse=True))
+            if weight not in by_weight:
+                rhs = trace_identity_rhs(n, d, lam, weight, convention)
+                by_weight[weight] = rhs, [rhs(q) for q in count_primes]
+            rhs, right_vals = by_weight[weight]
             if mode == "polynomial":
                 cases += 1
                 lhs = fiber_polynomial(lam, dv)
@@ -182,9 +211,8 @@ def verify_trace_identity(
                     continue
             else:
                 cases += len(count_primes)
-            for q in count_primes:
+            for q, right_val in zip(count_primes, right_vals):
                 left_val = fiber_count(lam, dv, q, budget=budget, cache=cache).count
-                right_val = rhs(q)
                 if left_val != right_val:
                     witnesses.append({
                         "lambda": list(lam),
@@ -382,8 +410,9 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
     Sum over admissible P of syt_count(P) * schur_dim(conjugate(P), n)
     must equal n^d, and each schur_dim must equal its Kostka weight sum.
     """
-    if n > 6 or d > 7:
-        raise ValueError("verify_schur_weyl supports n <= 6, d <= 7")
+    if n > SCHUR_WEYL_MAX_N or d > SCHUR_WEYL_MAX_D:
+        raise ValueError(
+            f"verify_schur_weyl supports n <= {SCHUR_WEYL_MAX_N}, d <= {SCHUR_WEYL_MAX_D}")
     witnesses: list[dict] = []
     cases = 0
     dimvecs = enumerate_dimvecs(n, d)
@@ -419,8 +448,8 @@ def verify_young_rule(d: int) -> CheckResult:
     kostka_number(P, P) = 1 for every partition P of d, and
     kostka_number(P, P') = 0 whenever P strictly refines P'.
     """
-    if d > 8:
-        raise ValueError("verify_young_rule supports d <= 8")
+    if d > YOUNG_RULE_MAX_D:
+        raise ValueError(f"verify_young_rule supports d <= {YOUNG_RULE_MAX_D}")
     witnesses: list[dict] = []
     cases = 0
     parts = enumerate_partitions(d, d)
@@ -500,11 +529,11 @@ def run_suite(
         for name in ("semismall", "top_components", "stalk_bootstrap", "stalk_hypothesis"):
             checks.append(CheckResult(name, "skipped"))
 
-    if n <= 6 and d <= 7:
+    if n <= SCHUR_WEYL_MAX_N and d <= SCHUR_WEYL_MAX_D:
         checks.append(_guarded("schur_weyl", lambda: verify_schur_weyl(n, d)))
     else:
         checks.append(CheckResult("schur_weyl", "skipped"))
-    if d <= 8:
+    if d <= YOUNG_RULE_MAX_D:
         checks.append(_guarded("young_rule", lambda: verify_young_rule(d)))
     else:
         checks.append(CheckResult("young_rule", "skipped"))

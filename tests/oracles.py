@@ -4,11 +4,30 @@ interpolate recovers an integer polynomial from sampled values with
 exact rational arithmetic.  The tests use it to rebuild count
 polynomials from enumerated flag counts, independently of the
 vertical-strip recursion in nilflag.flaggeo.
+
+rhs_by_definition is the character side of the trace identity for one
+(lam, dv) pair, with every multiplicity counted as the tableaux of the
+unsorted content dv, as a check on nilflag.verifier.trace_identity_rhs.
 """
 
 from fractions import Fraction
 
-from nilflag.qpoly import LaurentPoly
+from nilflag.combinatorics import (
+    conjugate,
+    enumerate_partitions,
+    enumerate_ssyt,
+    flag_dim,
+    n_stat,
+)
+from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
+
+
+def rhs_by_definition(n: int, d: int, lam, dv, convention: str) -> LaurentPoly:
+    total = LaurentPoly()
+    for P in enumerate_partitions(n, d):
+        shape = conjugate(P) if convention == "standard" else P
+        total = total + modified_kostka_foulkes(P, lam) * len(enumerate_ssyt(shape, dv))
+    return total.shift(flag_dim(dv) - n_stat((1,) * d))
 
 
 class InterpolationError(ValueError):

@@ -178,6 +178,14 @@ def test_budget_exhaustion_exits_2(capsys):
     assert run(["verify", "--n", "3", "--d", "5", "--budget", "448"]) == EXIT_OK
 
 
+def test_duplicate_primes_exit_2(capsys):
+    code = run(["verify", "--n", "2", "--d", "3", "--mode", "numeric", "--primes", "2,2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "prime 2 is given more than once" in captured.err
+
+
 def test_unknown_command_exits_2(capsys):
     assert run(["no-such-command"]) == EXIT_USAGE
     capsys.readouterr()

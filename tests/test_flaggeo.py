@@ -314,15 +314,21 @@ def test_fiber_polynomial_fixed_points():
 
 def test_fiber_polynomial_properties():
     primes = [2, 3, 5, 7, 11, 13, 17]
-    for n, d in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
+    # sizes small enough to count at bound + 2 primes
+    interpolated = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]
+    for n, d in product(range(1, 5), range(1, 6)):
         for lam in enumerate_partitions(n, d):
             bound_base = orbit_dim(lam) // 2
             for dv in enumerate_dimvecs(n, d):
                 poly = fiber_polynomial(lam, dv)
                 assert all(c > 0 for _, c in poly.items())
+                # like the character side, it depends on dv only through its weight
+                assert poly == fiber_polynomial(lam, tuple(sorted(dv, reverse=True))), (lam, dv)
                 bound = flag_dim(dv) - bound_base
                 if bound < 0:
                     assert poly.is_zero and fiber_count(lam, dv, 2).count == 0
+                    continue
+                if (n, d) not in interpolated:
                     continue
                 # the interpolant of enumerated counts at bound + 2 primes
                 # has degree <= bound and equals the strip polynomial

@@ -62,6 +62,10 @@ class TestLaurentPoly:
         assert LaurentPoly({-1: 4})(2) == 2  # integral despite the negative exponent
         big = gaussian_binomial(8, 4)
         assert big(10**6) > 10**23  # arbitrary precision
+        # polynomials evaluate to plain ints; only negative exponents need Fraction
+        for value in (p(5), big(3), LaurentPoly()(7), LaurentPoly({-1: 4})(2)):
+            assert type(value) is int
+        assert LaurentPoly.q_power(-1)(2) == Fraction(1, 2)
 
     def test_text_form(self):
         assert LaurentPoly().to_text() == "0"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nilflag import verifier
 from nilflag.combinatorics import (
     enumerate_dimvecs,
     enumerate_partitions,
@@ -22,6 +23,7 @@ from nilflag.verifier import (
     verify_trace_identity,
     verify_young_rule,
 )
+from oracles import rhs_by_definition
 
 
 class TestTraceIdentityRhs:
@@ -33,6 +35,22 @@ class TestTraceIdentityRhs:
     def test_bad_convention(self):
         with pytest.raises(ValueError):
             trace_identity_rhs(2, 2, (1, 1), (1, 1), convention="other")
+        for lam, dv in [((1, 2), (2, 1)), ((2, 1), (1, 1)), ((1, 1), (2, 1)),
+                        ((2, 1), (1, 1, 1)), ((2, 1), (3, -1))]:
+            with pytest.raises(ValueError):
+                trace_identity_rhs(2, 3, lam, dv)
+
+    def test_depends_on_dv_only_through_its_weight(self):
+        for convention in ("standard", "literal-paper"):
+            for n in range(1, 5):
+                for d in range(1, 6):
+                    for lam in enumerate_partitions(n, d):
+                        for dv in enumerate_dimvecs(n, d):
+                            weight = tuple(sorted(dv, reverse=True))
+                            rhs = trace_identity_rhs(n, d, lam, dv, convention)
+                            assert rhs == trace_identity_rhs(n, d, lam, weight, convention)
+                            assert rhs == rhs_by_definition(n, d, lam, dv, convention), (
+                                convention, lam, dv)
 
 
 class TestTraceIdentity:
@@ -48,6 +66,23 @@ class TestTraceIdentity:
         assert result.status == "pass"
         pairs = len(enumerate_partitions(3, 4)) * len(enumerate_dimvecs(3, 4))
         assert result.cases == pairs * 2
+
+    def test_character_side_once_per_weight_class(self, monkeypatch):
+        calls = []
+        rhs = verifier.trace_identity_rhs
+
+        def counted(n, d, lam, dv, convention="standard"):
+            calls.append((lam, dv))
+            return rhs(n, d, lam, dv, convention)
+
+        monkeypatch.setattr(verifier, "trace_identity_rhs", counted)
+        for n, d, classes in [(4, 5, 36), (3, 5, 25)]:
+            calls.clear()
+            result = verify_trace_identity(n, d)
+            assert result.status == "pass"
+            pairs = len(enumerate_partitions(n, d)) * len(enumerate_dimvecs(n, d))
+            assert result.cases == pairs
+            assert len(calls) == len(set(calls)) == classes
 
     def test_literal_paper_pairing_fails_with_witness(self):
         result = verify_trace_identity(2, 2, convention="literal-paper")
@@ -193,6 +228,9 @@ class TestSuite:
             run_suite(2, 3, primes=[4])
         with pytest.raises(ValueError):
             run_suite(2, 3, primes=[])
+        for mode in ("polynomial", "numeric"):
+            with pytest.raises(ValueError, match="prime 2 is given more than once"):
+                run_suite(2, 3, mode=mode, primes=[2, 3, 2])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
