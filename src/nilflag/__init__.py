@@ -5,33 +5,28 @@ matrix, reconstructs the count polynomials in q, and verifies that they
 match explicit combinations of charge q-analogs and weight
 multiplicities, together with degree bounds and top-coefficient
 corollaries.
+
+Input is checked where it enters: every name exported here, and the
+command line, rejects a malformed partition, dimension vector or prime
+with ValueError.  The code behind them takes valid tuples and does not
+check them again.
 """
 
 from .combinatorics import (
-    DimVector,
-    Partition,
-    Tableau,
-    conjugate,
     dominates,
     enumerate_dimvecs,
     enumerate_partitions,
     enumerate_ssyt,
-    flag_dim,
-    format_parts,
     kostka_number,
-    n_stat,
     nilcone_dim,
-    orbit_dim,
     parse_parts,
     refines,
     schur_dim,
-    syt_count,
 )
 from .flaggeo import (
     Budget,
     BudgetExceeded,
     CountCache,
-    FiberCountRecord,
     FqMatrix,
     FqSubspace,
     count_flags,
@@ -39,7 +34,6 @@ from .flaggeo import (
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
-    is_prime,
     jordan_matrix,
     jordan_type,
     kernel_subspace,
@@ -51,14 +45,10 @@ from .qpoly import (
     gaussian_binomial,
     kostka_foulkes,
     modified_kostka_foulkes,
-    reading_word,
     word_charge,
 )
 from .verifier import (
-    CheckResult,
     StalkConsistencyError,
-    StalkTable,
-    VerificationReport,
     bootstrap_stalks,
     run_suite,
     trace_identity_rhs,

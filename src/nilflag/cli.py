@@ -16,8 +16,6 @@ import sys
 from .combinatorics import (
     enumerate_dimvecs,
     enumerate_partitions,
-    check_dimvec,
-    check_partition,
     kostka_number,
     parse_parts,
     format_parts,
@@ -140,20 +138,17 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "kostka":
-        shape = check_partition(parse_parts(args.shape))
-        weight = check_dimvec(parse_parts(args.weight))
+        shape, weight = parse_parts(args.shape), parse_parts(args.weight)
         _emit({"kostka": kostka_number(shape, weight)}, args.pretty)
         return EXIT_OK
 
     if args.command == "kostka-foulkes":
-        shape = check_partition(parse_parts(args.shape))
-        weight = check_partition(parse_parts(args.weight))
+        shape, weight = parse_parts(args.shape), parse_parts(args.weight)
         _emit({"poly": kostka_foulkes(shape, weight).to_text()}, args.pretty)
         return EXIT_OK
 
     if args.command == "fiber-count":
-        lam = check_partition(parse_parts(args.lam))
-        dv = check_dimvec(parse_parts(args.dimvec))
+        lam, dv = parse_parts(args.lam), parse_parts(args.dimvec)
         if args.brute:
             record = fiber_count_brute(lam, dv, args.q, budget=args.budget)
         else:
@@ -163,9 +158,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "fiber-poly":
-        lam = check_partition(parse_parts(args.lam))
-        dv = check_dimvec(parse_parts(args.dimvec))
-        poly = fiber_polynomial(lam, dv)
+        poly = fiber_polynomial(parse_parts(args.lam), parse_parts(args.dimvec))
         _emit({"poly": poly.to_text()}, args.pretty)
         return EXIT_OK
 

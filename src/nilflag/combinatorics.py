@@ -73,9 +73,8 @@ def enumerate_partitions(n: int, d: int) -> list[Partition]:
     return out
 
 
-def conjugate(p) -> Partition:
-    """Column lengths of the Young diagram (the transposed partition)."""
-    p = check_partition(p)
+def conjugate(p: Partition) -> Partition:
+    """Column lengths of the Young diagram of the valid partition p."""
     if not p:
         return ()
     return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
@@ -87,6 +86,10 @@ def dominates(p, r) -> bool:
     r = check_partition(r)
     if sum(p) != sum(r):
         raise ValueError("dominance compares partitions of equal size")
+    return _dominates(p, r)
+
+
+def _dominates(p: Partition, r: Partition) -> bool:
     total_p = total_r = 0
     for i in range(max(len(p), len(r))):
         total_p += p[i] if i < len(p) else 0
@@ -106,6 +109,10 @@ def refines(p, r) -> bool:
     r = check_partition(r)
     if sum(p) != sum(r):
         raise ValueError("refinement compares partitions of equal size")
+    return _refines(p, r)
+
+
+def _refines(p: Partition, r: Partition) -> bool:
     if p == r:
         return False
 
@@ -127,15 +134,13 @@ def refines(p, r) -> bool:
     return pack(p, list(r))
 
 
-def n_stat(p) -> int:
-    """The statistic sum over rows i (1-based) of (i-1) * part_i."""
-    p = check_partition(p)
+def n_stat(p: Partition) -> int:
+    """The statistic sum over rows i (1-based) of (i-1) * part_i of a valid partition."""
     return sum(i * part for i, part in enumerate(p))
 
 
-def orbit_dim(lam) -> int:
-    """Dimension of the conjugacy class of nilpotents with Jordan type lam."""
-    lam = check_partition(lam)
+def orbit_dim(lam: Partition) -> int:
+    """Dimension of the class of nilpotents with the valid Jordan type lam."""
     d = sum(lam)
     return d * d - sum(c * c for c in conjugate(lam))
 
@@ -172,9 +177,8 @@ def enumerate_dimvecs(n: int, d: int) -> list[DimVector]:
     return out
 
 
-def flag_dim(dv) -> int:
-    """Dimension of the flag-variety component with jump vector dv."""
-    dv = check_dimvec(dv)
+def flag_dim(dv: DimVector) -> int:
+    """Dimension of the flag-variety component with the valid jump vector dv."""
     total = sum(dv)
     return (total * total - sum(x * x for x in dv)) // 2
 
@@ -221,6 +225,14 @@ def enumerate_ssyt(shape, content) -> list[Tableau]:
     return found
 
 
+def sorted_weight(content) -> Partition:
+    """The nonzero entries of a composition in decreasing order.
+
+    Kostka numbers depend on the content only through this partition.
+    """
+    return tuple(sorted((x for x in content if x), reverse=True))
+
+
 @cache
 def _kostka(shape: Partition, weight: Partition) -> int:
     return len(enumerate_ssyt(shape, weight))
@@ -233,15 +245,14 @@ def kostka_number(shape, content) -> int:
     multiplicities, so arbitrary dimension vectors are accepted.
     """
     shape = check_partition(shape)
-    weight = tuple(sorted((int(x) for x in content if int(x) != 0), reverse=True))
+    weight = sorted_weight(int(x) for x in content)
     if sum(shape) != sum(weight):
         raise ValueError("shape size and content total differ")
     return _kostka(shape, weight)
 
 
-def hook_lengths(shape) -> list[list[int]]:
-    """Hook length of every cell, row by row."""
-    shape = check_partition(shape)
+def hook_lengths(shape: Partition) -> list[list[int]]:
+    """Hook length of every cell of a valid shape, row by row."""
     conj = conjugate(shape)
     return [
         [shape[i] - j + conj[j] - i - 1 for j in range(shape[i])]
@@ -249,9 +260,8 @@ def hook_lengths(shape) -> list[list[int]]:
     ]
 
 
-def syt_count(shape) -> int:
-    """Number of standard tableaux of the given shape (hook-length formula)."""
-    shape = check_partition(shape)
+def syt_count(shape: Partition) -> int:
+    """Number of standard tableaux of a valid shape (hook-length formula)."""
     denom = 1
     for row in hook_lengths(shape):
         for h in row:

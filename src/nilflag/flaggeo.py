@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from math import prod
 
 from .combinatorics import (
     DimVector,
@@ -135,7 +134,10 @@ def _matmul(a, b, p: int):
 
 @dataclass(frozen=True)
 class FqMatrix:
-    """Matrix over F_p as a tuple of row tuples of residues."""
+    """Matrix over F_p as a tuple of row tuples of residues.
+
+    FqMatrix.build checks its input; the field constructor trusts it.
+    """
 
     p: int
     rows: tuple[tuple[int, ...], ...]
@@ -181,7 +183,11 @@ class FqMatrix:
 
 @dataclass(frozen=True)
 class FqSubspace:
-    """Subspace of F_p^n held as its canonical reduced row-echelon basis."""
+    """Subspace of F_p^n held as its canonical reduced row-echelon basis.
+
+    span, full and zero check the prime; the field constructor trusts
+    its fields to be a canonical basis.
+    """
 
     p: int
     ambient: int
@@ -288,8 +294,10 @@ def enumerate_subspaces(ambient: FqSubspace, k: int, *, budget: Budget | None = 
 
 def jordan_matrix(lam, p) -> FqMatrix:
     """Block-diagonal nilpotent with ones on each block's superdiagonal."""
-    lam = check_partition(lam)
-    p = check_prime(p)
+    return _jordan_matrix(check_partition(lam), check_prime(p))
+
+
+def _jordan_matrix(lam: Partition, p: int) -> FqMatrix:
     d = sum(lam)
     rows = [[0] * d for _ in range(d)]
     start = 0
@@ -340,7 +348,7 @@ def kernel_subspace(a: FqMatrix) -> FqSubspace:
         for row, c in zip(rows, pivots):
             vec[c] = (-row[f]) % a.p
         basis.append(vec)
-    return FqSubspace.span(basis, a.p, ambient=n)
+    return FqSubspace(a.p, n, *_rref(basis, a.p))
 
 
 def _induced_type(acols, vpivots, vrows, dim: int, p: int) -> Partition:
@@ -409,15 +417,6 @@ class FiberCountRecord:
         )
 
 
-def _flag_total(dimvec, q: int) -> int:
-    """All flags of this type in F_q^d: the Gaussian multinomial [d; dimvec]_q."""
-
-    def q_factorial(k: int) -> int:  # times (q-1)^k, which cancels
-        return prod(q**j - 1 for j in range(1, k + 1))
-
-    return q_factorial(sum(dimvec)) // prod(q_factorial(k) for k in dimvec)
-
-
 class CountCache:
     """Fiber-count store backed by an append-only JSONL file.
 
@@ -426,7 +425,7 @@ class CountCache:
     single flushed line.  An unparsable final line is a torn write: it is
     ignored, and cut off before the next append.  An unparsable line
     anywhere else is an error naming the file and line.  A cached count
-    outside 0 <= count <= [d; dimvec]_q cannot be right, so a lookup
+    that differs from the count polynomial at q is wrong, so a lookup
     treats it as a miss and the recount replaces it.
     """
 
@@ -457,9 +456,10 @@ class CountCache:
                     f"{self.path}:{i + 1}: malformed cache record: {exc}") from None
             self._mem[key] = count
 
-    def get(self, lam, dimvec, q) -> int | None:
-        count = self._mem.get((tuple(lam), tuple(dimvec), int(q)))
-        if count is None or not 0 <= count <= _flag_total(dimvec, q):
+    def get(self, lam: Partition, dimvec: DimVector, q: int) -> int | None:
+        """The cached count of a valid instance, or None for a miss."""
+        count = self._mem.get((lam, dimvec, q))
+        if count is None or count != _fiber_poly(lam, dimvec)(q):
             return None
         return count
 
@@ -523,7 +523,7 @@ def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
         total = 0
         for lifted in extensions(v, dims[i]):
             if all(v.contains_vector(a.apply(row)) for row in lifted):
-                w = FqSubspace.span(tuple(v.rows) + tuple(lifted), p, ambient=d)
+                w = FqSubspace(p, d, *_rref(tuple(v.rows) + tuple(lifted), p))
                 total += level(i + 1, w)
         return total
 
@@ -537,7 +537,7 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    count = count_flags(jordan_matrix(lam, p), dimvec, budget=budget)
+    count = count_flags(_jordan_matrix(lam, p), dimvec, budget=budget)
     return FiberCountRecord(lam, dimvec, p, count)
 
 
@@ -546,7 +546,7 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     hit = budget.tally.get(key)
     if hit is not None:
         return hit
-    a = jordan_matrix(lam, p)
+    a = _jordan_matrix(lam, p)
     ker = kernel_subspace(a)
     budget.charge(gaussian_binomial(ker.dim, d1)(p))
     acols = tuple(a.column(j) for j in range(a.ncols))
@@ -608,19 +608,26 @@ def fiber_count(lam, dimvec, p, *, budget=None, cache: CountCache | None = None)
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
+    count = _fiber_count(lam, dimvec, p, _as_budget(budget), cache)
+    return FiberCountRecord(lam, dimvec, p, count)
+
+
+def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget,
+                 cache: CountCache | None) -> int:
+    """The count of fiber_count for a valid instance, read from the cache
+    when it holds the instance, else counted and put there."""
     if cache is not None:
         hit = cache.get(lam, dimvec, p)
         if hit is not None:
-            return FiberCountRecord(lam, dimvec, p, hit)
+            return hit
     try:
-        count = _flag_count(lam, dimvec, p, _as_budget(budget))
+        count = _flag_count(lam, dimvec, p, budget)
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
-    record = FiberCountRecord(lam, dimvec, p, count)
     if cache is not None:
-        cache.put(record)
-    return record
+        cache.put(FiberCountRecord(lam, dimvec, p, count))
+    return count
 
 
 @cache

@@ -264,9 +264,14 @@ def modified_kostka_foulkes(shape, weight) -> LaurentPoly:
     """The normalization q^{n(weight)} * kostka_foulkes(shape, weight)(1/q)."""
     shape = check_partition(shape)
     weight = check_partition(weight)
-    base = kostka_foulkes(shape, weight)
+    if sum(shape) != sum(weight):
+        raise ValueError("shape size and weight size differ")
+    return _modified_kostka_foulkes(shape, weight)
+
+
+def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
     top = n_stat(weight)
-    return LaurentPoly({top - e: c for e, c in base._c.items()})
+    return LaurentPoly({top - e: c for e, c in _kostka_foulkes(shape, weight)._c.items()})
 
 
 @cache

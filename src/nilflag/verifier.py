@@ -19,29 +19,30 @@ from dataclasses import dataclass, field
 from .combinatorics import (
     DimVector,
     Partition,
+    _dominates,
+    _kostka,
+    _refines,
     check_dimvec,
     check_partition,
     conjugate,
-    dominates,
     enumerate_dimvecs,
     enumerate_partitions,
     flag_dim,
-    kostka_number,
     n_stat,
     nilcone_dim,
     orbit_dim,
-    refines,
     schur_dim,
+    sorted_weight,
     syt_count,
 )
 from .flaggeo import (
     CountCache,
     _as_budget,
+    _fiber_count,
+    _fiber_poly,
     check_prime,
-    fiber_count,
-    fiber_polynomial,
 )
-from .qpoly import LaurentPoly, modified_kostka_foulkes
+from .qpoly import LaurentPoly, _modified_kostka_foulkes
 
 CONVENTIONS = ("standard", "literal-paper")
 DEFAULT_PRIMES = (2, 3)
@@ -57,10 +58,22 @@ class StalkConsistencyError(ValueError):
 
 @dataclass
 class CheckResult:
+    """One check's outcome: "fail" if it has a witness, else "pass",
+    unless skipped.  Witnesses are kept in canonical order."""
+
     name: str
-    status: str  # "pass" | "fail" | "skipped"
     cases: int = 0
     witnesses: list[dict] = field(default_factory=list)
+    skipped: bool = False
+
+    def __post_init__(self):
+        self.witnesses.sort(key=_witness_key)
+
+    @property
+    def status(self) -> str:
+        if self.skipped:
+            return "skipped"
+        return "fail" if self.witnesses else "pass"
 
     def as_dict(self) -> dict:
         return {
@@ -139,12 +152,13 @@ def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") ->
     dv = check_dimvec(dv, n)
     if sum(lam) != d or sum(dv) != d:
         raise ValueError(f"lambda {lam} and dimvec {dv} must both sum to d={d}")
+    weight = sorted_weight(dv)
     total = LaurentPoly()
     for P in enumerate_partitions(n, d):
         weight_shape = conjugate(P) if convention == "standard" else P
-        mult = kostka_number(weight_shape, dv)
+        mult = _kostka(weight_shape, weight)
         if mult:
-            total = total + modified_kostka_foulkes(P, lam) * mult
+            total = total + _modified_kostka_foulkes(P, lam) * mult
     return total.shift(flag_dim(dv) - n_stat((1,) * d))
 
 
@@ -200,7 +214,7 @@ def verify_trace_identity(
             rhs, right_vals = by_weight[weight]
             if mode == "polynomial":
                 cases += 1
-                lhs = fiber_polynomial(lam, dv)
+                lhs = _fiber_poly(lam, dv)
                 if lhs != rhs:
                     witnesses.append({
                         "lambda": list(lam),
@@ -212,7 +226,7 @@ def verify_trace_identity(
             else:
                 cases += len(count_primes)
             for q, right_val in zip(count_primes, right_vals):
-                left_val = fiber_count(lam, dv, q, budget=budget, cache=cache).count
+                left_val = _fiber_count(lam, dv, q, budget, cache)
                 if left_val != right_val:
                     witnesses.append({
                         "lambda": list(lam),
@@ -221,57 +235,44 @@ def verify_trace_identity(
                         "left": str(left_val),
                         "right": str(right_val),
                     })
-    witnesses.sort(key=_witness_key)
-    return CheckResult(
-        "trace_identity", "pass" if not witnesses else "fail", cases, witnesses)
+    return CheckResult("trace_identity", cases, witnesses)
 
 
-def bootstrap_stalks(
-    n: int,
-    d: int,
-    *,
-    row_order: str = "descending",
-) -> StalkTable:
+def bootstrap_stalks(n: int, d: int) -> StalkTable:
     """Solve for the stalk traces from normalized fiber polynomials.
 
     For each lam, the equations over all dimension vectors dv read
     q^(-flag_dim(dv)) * fiber_polynomial(lam, dv) =
-    sum over P of t_P(lam) * kostka_number(conjugate(P), dv).  A
-    unitriangular subset of rows (one per P) determines the unique
-    solution; every remaining equation is then checked, and failure
-    raises StalkConsistencyError.  row_order picks which representative
-    dimension vectors are used ("descending" sorted jumps or their
-    "ascending" reversals) -- the result must not depend on it.
+    sum over P of t_P(lam) * kostka_number(conjugate(P), dv).  The rows
+    at dv = conjugate(P), one per P, are unitriangular and determine the
+    unique solution; every remaining equation is then checked, and
+    failure raises StalkConsistencyError.
     """
-    if row_order not in ("descending", "ascending"):
-        raise ValueError("row_order must be 'descending' or 'ascending'")
     parts = enumerate_partitions(n, d)
-    mus = {P: conjugate(P) + (0,) * (n - len(conjugate(P))) for P in parts}
+    shapes = {P: conjugate(P) for P in parts}
+    mus = {P: shapes[P] + (0,) * (n - len(shapes[P])) for P in parts}
     order = sorted(parts, key=lambda P: mus[P], reverse=True)
-    if row_order == "descending":
-        rows = [mus[P] for P in order]
-    else:
-        rows = [tuple(reversed(mus[P])) for P in order]
+    weights = [(dv, sorted_weight(dv)) for dv in enumerate_dimvecs(n, d)]
 
     entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
 
         def normalized(dv) -> LaurentPoly:
-            return fiber_polynomial(lam, dv).shift(-flag_dim(dv))
+            return _fiber_poly(lam, dv).shift(-flag_dim(dv))
 
         solved: dict[Partition, LaurentPoly] = {}
         for i, P in enumerate(order):
-            acc = normalized(rows[i])
-            for j in range(i):
-                m = kostka_number(conjugate(order[j]), rows[i])
+            acc = normalized(mus[P])
+            for Q in order[:i]:
+                m = _kostka(shapes[Q], shapes[P])
                 if m:
-                    acc = acc - solved[order[j]] * m
+                    acc = acc - solved[Q] * m
             # the diagonal multiplicity kostka(conj P, mu_P) is 1
             solved[P] = acc
-        for dv in enumerate_dimvecs(n, d):
+        for dv, weight in weights:
             predicted = LaurentPoly()
             for P in parts:
-                m = kostka_number(conjugate(P), dv)
+                m = _kostka(shapes[P], weight)
                 if m:
                     predicted = predicted + solved[P] * m
             if predicted != normalized(dv):
@@ -294,14 +295,14 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, StalkTable | No
     try:
         table = bootstrap_stalks(n, d)
     except ValueError as exc:
-        return CheckResult("stalk_bootstrap", "fail", 0, [{"error": str(exc)}]), None
+        return CheckResult("stalk_bootstrap", 0, [{"error": str(exc)}]), None
     parts = enumerate_partitions(n, d)
     cases += len(parts) * len(enumerate_dimvecs(n, d))  # consistency equations
     for P in parts:
         for lam in parts:
             entry = table.entries[(P, lam)]
             cases += 1
-            if not dominates(P, lam) and not entry.is_zero:
+            if not _dominates(P, lam) and not entry.is_zero:
                 witnesses.append({
                     "orbit": list(P),
                     "lambda": list(lam),
@@ -317,9 +318,7 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, StalkTable | No
                 "value": table.entries[(P, P)].to_text(),
                 "reason": f"normalization should be {expected.to_text()}",
             })
-    witnesses.sort(key=_witness_key)
-    status = "pass" if not witnesses else "fail"
-    return CheckResult("stalk_bootstrap", status, cases, witnesses), table
+    return CheckResult("stalk_bootstrap", cases, witnesses), table
 
 
 def verify_stalk_hypothesis(table: StalkTable) -> CheckResult:
@@ -332,7 +331,7 @@ def verify_stalk_hypothesis(table: StalkTable) -> CheckResult:
     cases = 0
     for (P, lam), value in table.entries.items():
         cases += 1
-        expected = modified_kostka_foulkes(P, lam).shift(shift)
+        expected = _modified_kostka_foulkes(P, lam).shift(shift)
         if value != expected:
             witnesses.append({
                 "orbit": list(P),
@@ -340,9 +339,7 @@ def verify_stalk_hypothesis(table: StalkTable) -> CheckResult:
                 "left": value.to_text(),
                 "right": expected.to_text(),
             })
-    witnesses.sort(key=_witness_key)
-    return CheckResult(
-        "stalk_hypothesis", "pass" if not witnesses else "fail", cases, witnesses)
+    return CheckResult("stalk_hypothesis", cases, witnesses)
 
 
 def verify_semismall(n: int, d: int) -> CheckResult:
@@ -359,7 +356,7 @@ def verify_semismall(n: int, d: int) -> CheckResult:
         global_bound = (cone - orbit_dim(lam)) // 2
         for dv in enumerate_dimvecs(n, d):
             cases += 1
-            deg = fiber_polynomial(lam, dv).degree()
+            deg = _fiber_poly(lam, dv).degree()
             if deg is None:
                 continue
             limit = min(flag_dim(dv) - half_orbit, global_bound)
@@ -370,9 +367,7 @@ def verify_semismall(n: int, d: int) -> CheckResult:
                     "degree": deg,
                     "bound": limit,
                 })
-    witnesses.sort(key=_witness_key)
-    return CheckResult(
-        "semismall", "pass" if not witnesses else "fail", cases, witnesses)
+    return CheckResult("semismall", cases, witnesses)
 
 
 def verify_top_components(n: int, d: int) -> CheckResult:
@@ -384,13 +379,15 @@ def verify_top_components(n: int, d: int) -> CheckResult:
     """
     witnesses: list[dict] = []
     cases = 0
+    weights = [(dv, sorted_weight(dv)) for dv in enumerate_dimvecs(n, d)]
     for lam in enumerate_partitions(n, d):
         half_orbit = orbit_dim(lam) // 2
-        for dv in enumerate_dimvecs(n, d):
+        shape = conjugate(lam)
+        for dv, weight in weights:
             cases += 1
             target = flag_dim(dv) - half_orbit
-            got = fiber_polynomial(lam, dv).coeff(target)
-            want = kostka_number(conjugate(lam), dv)
+            got = _fiber_poly(lam, dv).coeff(target)
+            want = _kostka(shape, weight)
             if got != want:
                 witnesses.append({
                     "lambda": list(lam),
@@ -399,9 +396,7 @@ def verify_top_components(n: int, d: int) -> CheckResult:
                     "left": got,
                     "right": want,
                 })
-    witnesses.sort(key=_witness_key)
-    return CheckResult(
-        "top_components", "pass" if not witnesses else "fail", cases, witnesses)
+    return CheckResult("top_components", cases, witnesses)
 
 
 def verify_schur_weyl(n: int, d: int) -> CheckResult:
@@ -415,14 +410,14 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
             f"verify_schur_weyl supports n <= {SCHUR_WEYL_MAX_N}, d <= {SCHUR_WEYL_MAX_D}")
     witnesses: list[dict] = []
     cases = 0
-    dimvecs = enumerate_dimvecs(n, d)
+    weights = [sorted_weight(dv) for dv in enumerate_dimvecs(n, d)]
     total = 0
     for P in enumerate_partitions(n, d):
         shape = conjugate(P)
         dim = schur_dim(shape, n)
         total += syt_count(P) * dim
         cases += 1
-        weight_sum = sum(kostka_number(shape, dv) for dv in dimvecs)
+        weight_sum = sum(_kostka(shape, weight) for weight in weights)
         if dim != weight_sum:
             witnesses.append({
                 "lambda": list(P),
@@ -437,9 +432,7 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
             "right": n**d,
             "reason": "tensor-power dimension sum",
         })
-    witnesses.sort(key=_witness_key)
-    return CheckResult(
-        "schur_weyl", "pass" if not witnesses else "fail", cases, witnesses)
+    return CheckResult("schur_weyl", cases, witnesses)
 
 
 def verify_young_rule(d: int) -> CheckResult:
@@ -455,32 +448,30 @@ def verify_young_rule(d: int) -> CheckResult:
     parts = enumerate_partitions(d, d)
     for P in parts:
         cases += 1
-        if kostka_number(P, P) != 1:
+        if _kostka(P, P) != 1:
             witnesses.append({
                 "lambda": list(P),
-                "left": kostka_number(P, P),
+                "left": _kostka(P, P),
                 "right": 1,
             })
         for Q in parts:
-            if P != Q and refines(P, Q):
+            if _refines(P, Q):
                 cases += 1
-                if kostka_number(P, Q) != 0:
+                if _kostka(P, Q) != 0:
                     witnesses.append({
                         "lambda": list(P),
                         "coarser": list(Q),
-                        "left": kostka_number(P, Q),
+                        "left": _kostka(P, Q),
                         "right": 0,
                     })
-    witnesses.sort(key=_witness_key)
-    return CheckResult(
-        "young_rule", "pass" if not witnesses else "fail", cases, witnesses)
+    return CheckResult("young_rule", cases, witnesses)
 
 
 def _guarded(name: str, thunk) -> CheckResult:
     try:
         return thunk()
     except (ValueError, ArithmeticError) as exc:
-        return CheckResult(name, "fail", 0, [{"error": str(exc)}])
+        return CheckResult(name, 0, [{"error": str(exc)}])
 
 
 def run_suite(
@@ -524,19 +515,19 @@ def run_suite(
             checks.append(_guarded(
                 "stalk_hypothesis", lambda: verify_stalk_hypothesis(table)))
         else:
-            checks.append(CheckResult("stalk_hypothesis", "skipped"))
+            checks.append(CheckResult("stalk_hypothesis", skipped=True))
     else:
         for name in ("semismall", "top_components", "stalk_bootstrap", "stalk_hypothesis"):
-            checks.append(CheckResult(name, "skipped"))
+            checks.append(CheckResult(name, skipped=True))
 
     if n <= SCHUR_WEYL_MAX_N and d <= SCHUR_WEYL_MAX_D:
         checks.append(_guarded("schur_weyl", lambda: verify_schur_weyl(n, d)))
     else:
-        checks.append(CheckResult("schur_weyl", "skipped"))
+        checks.append(CheckResult("schur_weyl", skipped=True))
     if d <= YOUNG_RULE_MAX_D:
         checks.append(_guarded("young_rule", lambda: verify_young_rule(d)))
     else:
-        checks.append(CheckResult("young_rule", "skipped"))
+        checks.append(CheckResult("young_rule", skipped=True))
 
     params = {
         "n": n,

@@ -1,0 +1,104 @@
+"""Input is checked at the package boundary and nowhere behind it."""
+
+from collections import Counter
+from types import ModuleType
+
+import pytest
+
+import nilflag
+from nilflag import combinatorics, flaggeo, qpoly, verifier
+from nilflag.combinatorics import enumerate_dimvecs, enumerate_partitions
+
+BAD_PARTITION = (1, 2)  # not weakly decreasing
+BAD_DIMVEC = (2, -1, 2)  # a negative entry
+BAD_PRIME = 4
+
+# each exported name that takes a partition, dimension vector or prime,
+# with calls that hand it a malformed one
+MALFORMED = {
+    "FqMatrix": [lambda c: c.build([[0, 1], [0, 0]], BAD_PRIME)],
+    "FqSubspace": [
+        lambda c: c.span([(1, 0)], BAD_PRIME),
+        lambda c: c.full(2, BAD_PRIME),
+        lambda c: c.zero(2, BAD_PRIME),
+    ],
+    "charge": [lambda f: f(((2,), (3,)))],
+    "count_flags": [lambda f: f(nilflag.jordan_matrix((2, 1), 2), BAD_DIMVEC)],
+    "dominates": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
+    "enumerate_ssyt": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
+    "fiber_count": [
+        lambda f: f(BAD_PARTITION, (1, 1, 1), 2),
+        lambda f: f((2, 1), BAD_DIMVEC, 2),
+        lambda f: f((2, 1), (1, 1, 1), BAD_PRIME),
+    ],
+    "fiber_count_brute": [
+        lambda f: f(BAD_PARTITION, (1, 1, 1), 2),
+        lambda f: f((2, 1), BAD_DIMVEC, 2),
+        lambda f: f((2, 1), (1, 1, 1), BAD_PRIME),
+    ],
+    "fiber_polynomial": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
+    "jordan_matrix": [lambda f: f(BAD_PARTITION, 2), lambda f: f((2, 1), BAD_PRIME)],
+    "kostka_foulkes": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_PARTITION)],
+    "kostka_number": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
+    "modified_kostka_foulkes": [
+        lambda f: f(BAD_PARTITION, (1, 1, 1)),
+        lambda f: f((2, 1), BAD_PARTITION),
+    ],
+    "refines": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
+    "run_suite": [lambda f: f(2, 3, primes=[BAD_PRIME])],
+    "schur_dim": [lambda f: f(BAD_PARTITION, 2)],
+    "trace_identity_rhs": [
+        lambda f: f(3, 3, BAD_PARTITION, (1, 1, 1)),
+        lambda f: f(3, 3, (2, 1), BAD_DIMVEC),
+    ],
+    "verify_trace_identity": [lambda f: f(2, 3, mode="numeric", primes=[BAD_PRIME])],
+    "word_charge": [lambda f: f((1, 3))],
+}
+
+# exported names that take none of the three
+TAKES_NONE = {
+    "Budget", "BudgetExceeded", "CountCache", "LaurentPoly", "StalkConsistencyError",
+    "bootstrap_stalks", "enumerate_dimvecs", "enumerate_partitions", "enumerate_subspaces",
+    "gaussian_binomial", "jordan_type", "kernel_subspace", "nilcone_dim", "parse_parts",
+    "quotient_type", "verify_schur_weyl", "verify_semismall", "verify_stalk_bootstrap",
+    "verify_stalk_hypothesis", "verify_top_components", "verify_young_rule",
+}
+
+
+def test_every_export_is_classified():
+    exported = {name for name, value in vars(nilflag).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(MALFORMED) | TAKES_NONE == exported
+    assert not set(MALFORMED) & TAKES_NONE
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_exports_reject_malformed_input(name):
+    for call in MALFORMED[name]:
+        with pytest.raises(ValueError):
+            call(getattr(nilflag, name))
+
+
+def test_no_input_checks_per_case(monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(name, check):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return wrapper
+
+    for module in (combinatorics, flaggeo, qpoly, verifier):
+        for name in ("check_partition", "check_dimvec", "check_prime"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # the first run fills the budget's count memo, so the second enumerates
+    # nothing and every check it makes is a check of its input
+    budget = flaggeo.Budget()
+    verifier.run_suite(3, 5, mode="numeric", budget=budget)
+    calls.clear()
+    report = verifier.run_suite(3, 5, mode="numeric", budget=budget)
+    assert report.ok
+    pairs = len(enumerate_partitions(3, 5)) * len(enumerate_dimvecs(3, 5))
+    assert calls["check_prime"] > 0
+    assert max(calls.values()) < pairs, calls

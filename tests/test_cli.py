@@ -215,16 +215,23 @@ def test_round_trip_of_partition_output(capsys):
 
 def test_torn_and_poisoned_cache_records(tmp_path, capsys):
     cache_path = tmp_path / "counts.jsonl"
+    # 999 exceeds the 4 flags of its type; 3 is within the 21 flags of its
+    # type, but the count is 5
+    wrong = '{"lambda":[2,1],"dimvec":[1,1,1],"q":2,"count":3}\n'
     cache_path.write_text(
-        '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n{"lambda":[2,1],"dim')
-    code, payload = run_json(
-        capsys, "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3",
+        '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n' + wrong
+        + '{"lambda":[2,1],"dim')
+    for lam, dv, q, count in [("1,1", "1,1", "3", 4), ("2,1", "1,1,1", "2", 5)]:
+        for _ in range(2):
+            code, payload = run_json(
+                capsys, "fiber-count", "--lambda", lam, "--dimvec", dv, "--q", q,
+                "--cache", str(cache_path))
+            assert code == EXIT_OK and payload == {"count": count}
+    cache_path.write_text(wrong)
+    code, report = run_json(
+        capsys, "verify", "--n", "3", "--d", "3", "--mode", "numeric",
         "--cache", str(cache_path))
-    assert code == EXIT_OK and payload == {"count": 4}
-    code, payload = run_json(
-        capsys, "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3",
-        "--cache", str(cache_path))
-    assert code == EXIT_OK and payload == {"count": 4}
+    assert code == EXIT_OK, report
 
 
 def test_malformed_cache_line_exits_2(tmp_path, capsys):

@@ -422,12 +422,15 @@ def test_count_cache_rejects_malformed_interior_line(tmp_path):
 
 def test_count_cache_recounts_impossible_counts(tmp_path):
     path = tmp_path / "counts.jsonl"
-    # [2; 1,1]_3 = 4 flags in all, so 999 and -1 cannot be counts
+    # [2; 1,1]_3 = 4 flags in all, so 999 and -1 cannot be counts; 3 is
+    # within the 21 flags of type 1,1,1 over F_2, but the count is 5
     path.write_text(
         '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n'
-        '{"lambda":[2],"dimvec":[1,1],"q":3,"count":-1}\n')
+        '{"lambda":[2],"dimvec":[1,1],"q":3,"count":-1}\n'
+        '{"lambda":[2,1],"dimvec":[1,1,1],"q":2,"count":3}\n')
     cache = CountCache(path)
     assert cache.get((1, 1), (1, 1), 3) is None
+    assert cache.get((2, 1), (1, 1, 1), 2) is None
     assert fiber_count((1, 1), (1, 1), 3, cache=cache).count == 4
     assert fiber_count((2,), (1, 1), 3, cache=cache).count == 1
     reloaded = CountCache(path)

@@ -107,12 +107,6 @@ class TestBootstrap:
         assert table.get((2, 1), (1, 1, 1)) == LaurentPoly({-1: 1, -2: 1})
         assert table.get((1, 1, 1), (1, 1, 1)) == LaurentPoly({0: 1})
 
-    def test_row_subset_independence(self):
-        for n, d in [(2, 3), (3, 3), (3, 4)]:
-            a = bootstrap_stalks(n, d, row_order="descending")
-            b = bootstrap_stalks(n, d, row_order="ascending")
-            assert a.entries == b.entries
-
     def test_invariants_and_hypothesis(self):
         for n in range(1, 4):
             for d in range(1, 5):
