@@ -26,18 +26,15 @@ from .combinatorics import (
 from .flaggeo import (
     Budget,
     BudgetExceeded,
-    CountCache,
     FqMatrix,
     FqSubspace,
     count_flags,
-    enumerate_subspaces,
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
     jordan_matrix,
     jordan_type,
     kernel_subspace,
-    quotient_type,
 )
 from .qpoly import (
     LaurentPoly,

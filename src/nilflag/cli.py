@@ -2,15 +2,14 @@
 
 All machine output is JSON on stdout; --pretty switches to indented
 form.  Exit codes: 0 all checks pass, 1 verification failure, 2 usage or
-resource error.  The NILFLAG_CACHE environment variable supplies a
-default count-cache path.
+resource error.  Nothing is read from the environment or kept between
+runs: every count is made afresh by the run that reports it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .combinatorics import (
@@ -22,7 +21,6 @@ from .combinatorics import (
 )
 from .flaggeo import (
     BudgetExceeded,
-    CountCache,
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
@@ -30,7 +28,6 @@ from .flaggeo import (
 from .qpoly import kostka_foulkes
 from .verifier import bootstrap_stalks, run_suite, verify_schur_weyl
 
-ENV_CACHE = "NILFLAG_CACHE"
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -72,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="prime field size")
     p.add_argument("--brute", action="store_true", help="use the enumeration oracle")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cache", default=None)
     add_pretty(p)
 
     p = sub.add_parser(
@@ -97,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--convention", choices=("standard", "literal-paper"), default="standard")
     p.add_argument("--report", default=None, help="also write the report to this path")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cache", default=None)
     add_pretty(p)
 
     p = sub.add_parser("schur-weyl", help="tensor-power dimension identity")
@@ -113,11 +108,6 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, indent=2))
     else:
         print(json.dumps(payload, separators=(",", ":")))
-
-
-def _cache_from(args) -> CountCache | None:
-    path = getattr(args, "cache", None) or os.environ.get(ENV_CACHE)
-    return CountCache(path) if path else None
 
 
 def _parse_primes(text):
@@ -149,11 +139,8 @@ def _dispatch(args) -> int:
 
     if args.command == "fiber-count":
         lam, dv = parse_parts(args.lam), parse_parts(args.dimvec)
-        if args.brute:
-            record = fiber_count_brute(lam, dv, args.q, budget=args.budget)
-        else:
-            record = fiber_count(
-                lam, dv, args.q, budget=args.budget, cache=_cache_from(args))
+        route = fiber_count_brute if args.brute else fiber_count
+        record = route(lam, dv, args.q, budget=args.budget)
         _emit({"count": record.count}, args.pretty)
         return EXIT_OK
 
@@ -178,7 +165,6 @@ def _dispatch(args) -> int:
             primes=_parse_primes(args.primes),
             convention=args.convention,
             budget=args.budget,
-            cache=_cache_from(args),
         )
         text = report.to_json(pretty=args.pretty)
         print(text)

@@ -7,11 +7,14 @@ as the column product a*v.
 
 Two enumerating routes count flags over one F_p.  fiber_count_brute
 enumerates flags one step at a time straight from the definition.
-fiber_count recurses: the first flag step ranges over subspaces of the
-kernel, the problem descends to the quotient, and results are memoized
-on (Jordan type, remaining jump vector, p) in the Budget that paid for
-their enumeration; when the operator vanishes the step count is a
-Gaussian binomial and no enumeration happens.
+fiber_count recurses: the first flag step ranges over subspaces U of the
+kernel, the problem descends to the quotient by U, and results are
+memoized on (Jordan type, remaining jump vector, p) in the Budget that
+paid for their enumeration.  U is enumerated in the kernel's own
+coordinates, and the quotient's Jordan type is read from the ranks of
+U against the subspaces ker a & im a^k, with no matrix built.  When the
+operator vanishes the step count is a Gaussian binomial and no
+enumeration happens.
 
 fiber_polynomial gives the count for every q at once, with no field at
 all: the same recursion, with the enumerated tally of quotient types
@@ -20,8 +23,6 @@ replaced by its closed form, the vertical-strip Hall polynomials.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -261,37 +262,6 @@ def _echelon_bases(m: int, k: int, p: int, budget: Budget | None = None):
             yield pivot_cols, tuple(tuple(r) for r in rows)
 
 
-def _combine(srows, base_rows, p: int):
-    """Rows of S * B for coefficient rows S over the basis rows B."""
-    width = len(base_rows[0]) if base_rows else 0
-    return tuple(
-        tuple(
-            sum(c * row[t] for c, row in zip(srow, base_rows) if c) % p
-            for t in range(width)
-        )
-        for srow in srows
-    )
-
-
-def enumerate_subspaces(ambient: FqSubspace, k: int, *, budget: Budget | None = None):
-    """Yield every k-dimensional subspace of `ambient` exactly once.
-
-    Subspaces come out as canonical echelon bases inside the ambient's
-    coordinates; the total count equals the Gaussian binomial at p.
-    """
-    if not 0 <= k <= ambient.dim:
-        raise ValueError(f"k must lie in 0..{ambient.dim}, got {k}")
-    m = ambient.dim
-    whole = ambient.dim == ambient.ambient
-    for spivots, srows in _echelon_bases(m, k, ambient.p, budget=budget):
-        if whole:
-            yield FqSubspace(ambient.p, ambient.ambient, spivots, srows)
-        else:
-            rows = _combine(srows, ambient.rows, ambient.p)
-            pivots = tuple(ambient.pivots[c] for c in spivots)
-            yield FqSubspace(ambient.p, ambient.ambient, pivots, rows)
-
-
 def jordan_matrix(lam, p) -> FqMatrix:
     """Block-diagonal nilpotent with ones on each block's superdiagonal."""
     return _jordan_matrix(check_partition(lam), check_prime(p))
@@ -351,138 +321,18 @@ def kernel_subspace(a: FqMatrix) -> FqSubspace:
     return FqSubspace(a.p, n, *_rref(basis, a.p))
 
 
-def _induced_type(acols, vpivots, vrows, dim: int, p: int) -> Partition:
-    # Jordan type of the operator induced on ambient/v; the classes of
-    # the non-pivot coordinates form a basis of the quotient.
-    rest = [j for j in range(dim) if j not in vpivots]
-    k = len(rest)
-    if k == 0:
-        return ()
-    out = [[0] * k for _ in range(k)]
-    for jj, j in enumerate(rest):
-        w = acols[j]
-        fs = [w[c] for c in vpivots]
-        if any(fs):
-            for ii, t in enumerate(rest):
-                x = w[t]
-                for f, row in zip(fs, vrows):
-                    if f:
-                        x -= f * row[t]
-                out[ii][jj] = x % p
-        else:
-            for ii, t in enumerate(rest):
-                out[ii][jj] = w[t] % p
-    return _nilpotent_type(tuple(tuple(r) for r in out), p)
-
-
-def quotient_type(a: FqMatrix, v: FqSubspace) -> Partition:
-    """Jordan type of the map induced by a on ambient/v.
-
-    v must be annihilated by a (sit inside the kernel), otherwise the
-    induced map is not defined and a usage error is raised.
-    """
-    if a.nrows != a.ncols:
-        raise ValueError("quotient_type needs a square matrix")
-    if v.ambient != a.ncols or v.p != a.p:
-        raise ValueError("subspace does not match the matrix")
-    for row in v.rows:
-        if any(a.apply(row)):
-            raise ValueError("subspace is not annihilated by the matrix")
-    acols = tuple(a.column(j) for j in range(a.ncols))
-    return _induced_type(acols, v.pivots, v.rows, a.ncols, a.p)
-
-
 @dataclass(frozen=True)
 class FiberCountRecord:
     """One exact count of flags compatible with a fixed nilpotent.
 
-    `lam` is the Jordan type (JSON key "lambda"), `dimvec` the flag jump
-    vector, q the prime, count the number of F_q-rational flags.
+    `lam` is the Jordan type, `dimvec` the flag jump vector, q the
+    prime, count the number of F_q-rational flags.
     """
 
     lam: Partition
     dimvec: DimVector
     q: int
     count: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambda": list(self.lam),
-                "dimvec": list(self.dimvec),
-                "q": self.q,
-                "count": self.count,
-            },
-            separators=(",", ":"),
-        )
-
-
-class CountCache:
-    """Fiber-count store backed by an append-only JSONL file.
-
-    One record per line: {"lambda":[2,1],"dimvec":[1,1,1],"q":5,"count":11}.
-    A missing file reads as empty; each new record is appended as a
-    single flushed line.  An unparsable final line is a torn write: it is
-    ignored, and cut off before the next append.  An unparsable line
-    anywhere else is an error naming the file and line.  A cached count
-    that differs from the count polynomial at q is wrong, so a lookup
-    treats it as a miss and the recount replaces it.
-    """
-
-    def __init__(self, path=None):
-        self.path = os.fspath(path) if path is not None else None
-        self._mem: dict[tuple, int] = {}
-        self._torn_at: int | None = None  # byte offset of a torn final line
-        if self.path is None or not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        lines = data.split(b"\n")
-        last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-        offset = 0
-        for i, line in enumerate(lines):
-            start, offset = offset, offset + len(line) + 1
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                key = (tuple(rec["lambda"]), tuple(rec["dimvec"]), int(rec["q"]))
-                count = int(rec["count"])
-            except (ValueError, KeyError, TypeError) as exc:
-                if i == last:
-                    self._torn_at = start
-                    break
-                raise ValueError(
-                    f"{self.path}:{i + 1}: malformed cache record: {exc}") from None
-            self._mem[key] = count
-
-    def get(self, lam: Partition, dimvec: DimVector, q: int) -> int | None:
-        """The cached count of a valid instance, or None for a miss."""
-        count = self._mem.get((lam, dimvec, q))
-        if count is None or count != _fiber_poly(lam, dimvec)(q):
-            return None
-        return count
-
-    def put(self, record: FiberCountRecord) -> None:
-        key = (record.lam, record.dimvec, record.q)
-        if self._mem.get(key) == record.count:
-            return
-        self._mem[key] = record.count
-        if self.path is not None:
-            with open(self.path, "a+b") as fh:
-                if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
-                    self._torn_at = None
-                # a last line that lost only its newline must not absorb this one
-                if fh.seek(0, os.SEEK_END):
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        fh.write(b"\n")
-                fh.write(record.to_json().encode() + b"\n")
-                fh.flush()
-
-    def __len__(self) -> int:
-        return len(self._mem)
 
 
 def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
@@ -542,20 +392,30 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
 
 
 def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
+    """The quotient types left by the d1-subspaces U of ker(a), for a of
+    type lam, each with the number of U that leave it.
+
+    The kernel's basis is the first vector of each Jordan block, so
+    W_k = ker a & im a^k is spanned by the first conjugate(lam)[k] of
+    them.  As U lies in ker a, U & im a^k = U & W_k, and
+    dim ker(a^k on V/U) = dim ker a^k - rank(U's rows without W_k's
+    coordinates); its steps in k are the columns of the quotient type.
+    """
     key = (lam, d1, p)
     hit = budget.tally.get(key)
     if hit is not None:
         return hit
-    a = _jordan_matrix(lam, p)
-    ker = kernel_subspace(a)
-    budget.charge(gaussian_binomial(ker.dim, d1)(p))
-    acols = tuple(a.column(j) for j in range(a.ncols))
-    d = a.ncols
+    ell = len(lam)
+    budget.charge(gaussian_binomial(ell, d1)(p))
+    cols = conjugate(lam)
     counts: dict[Partition, int] = {}
-    for spivots, srows in _echelon_bases(ker.dim, d1, p):
-        vrows = _combine(srows, ker.rows, p)
-        vpivots = tuple(ker.pivots[c] for c in spivots)
-        tau = _induced_type(acols, vpivots, vrows, d, p)
+    for _, rows in _echelon_bases(ell, d1, p):
+        # eliminating from the last coordinate leftward, the rank of the
+        # coordinates c.. is the number of pivots below ell - c
+        pivots = _rref([row[::-1] for row in rows], p)[0]
+        ranks = [sum(1 for j in pivots if j < ell - c) for c in cols + (0,)]
+        tau_cols = [c - r1 + r0 for c, r0, r1 in zip(cols, ranks, ranks[1:])]
+        tau = conjugate(tuple(c for c in tau_cols if c))
         counts[tau] = counts.get(tau, 0) + 1
     result = tuple(sorted(counts.items()))
     budget.tally[key] = result
@@ -596,7 +456,7 @@ def _flag_count(lam: Partition, dims: DimVector, p: int, budget: Budget) -> int:
     return count
 
 
-def fiber_count(lam, dimvec, p, *, budget=None, cache: CountCache | None = None) -> FiberCountRecord:
+def fiber_count(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
     """Exact flag count via the kernel/quotient recursion (the fast route).
 
     Agrees with fiber_count_brute everywhere.  An int or None budget
@@ -608,26 +468,17 @@ def fiber_count(lam, dimvec, p, *, budget=None, cache: CountCache | None = None)
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    count = _fiber_count(lam, dimvec, p, _as_budget(budget), cache)
+    count = _fiber_count(lam, dimvec, p, _as_budget(budget))
     return FiberCountRecord(lam, dimvec, p, count)
 
 
-def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget,
-                 cache: CountCache | None) -> int:
-    """The count of fiber_count for a valid instance, read from the cache
-    when it holds the instance, else counted and put there."""
-    if cache is not None:
-        hit = cache.get(lam, dimvec, p)
-        if hit is not None:
-            return hit
+def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> int:
+    """The count of fiber_count for a valid instance."""
     try:
-        count = _flag_count(lam, dimvec, p, budget)
+        return _flag_count(lam, dimvec, p, budget)
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
-    if cache is not None:
-        cache.put(FiberCountRecord(lam, dimvec, p, count))
-    return count
 
 
 @cache

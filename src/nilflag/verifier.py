@@ -35,13 +35,7 @@ from .combinatorics import (
     sorted_weight,
     syt_count,
 )
-from .flaggeo import (
-    CountCache,
-    _as_budget,
-    _fiber_count,
-    _fiber_poly,
-    check_prime,
-)
+from .flaggeo import _as_budget, _fiber_count, _fiber_poly, check_prime
 from .qpoly import LaurentPoly, _modified_kostka_foulkes
 
 CONVENTIONS = ("standard", "literal-paper")
@@ -179,7 +173,6 @@ def verify_trace_identity(
     primes=None,
     convention: str = "standard",
     budget=None,
-    cache: CountCache | None = None,
 ) -> CheckResult:
     """Check the count identity for every (lam, dv) pair at (n, d).
 
@@ -226,7 +219,7 @@ def verify_trace_identity(
             else:
                 cases += len(count_primes)
             for q, right_val in zip(count_primes, right_vals):
-                left_val = _fiber_count(lam, dv, q, budget, cache)
+                left_val = _fiber_count(lam, dv, q, budget)
                 if left_val != right_val:
                     witnesses.append({
                         "lambda": list(lam),
@@ -482,7 +475,6 @@ def run_suite(
     primes=None,
     convention: str = "standard",
     budget=None,
-    cache: CountCache | None = None,
 ) -> VerificationReport:
     """Run every check at (n, d) and assemble a canonical report.
 
@@ -490,7 +482,8 @@ def run_suite(
     skipped in numeric mode.  The report carries no timestamps, so equal
     parameters give byte-identical output.  The budget caps the subspaces
     the whole run enumerates; running out raises BudgetExceeded, since a
-    refusal is no verdict on the identities.
+    refusal is no verdict on the identities.  Like a bad prime, a negative
+    budget raises ValueError before any check runs.
     """
     if n < 1 or d < 1:
         raise ValueError("run_suite needs n >= 1 and d >= 1")
@@ -498,13 +491,14 @@ def run_suite(
         raise ValueError("mode must be 'polynomial' or 'numeric'")
     _check_convention(convention)
     primes = _count_primes(primes)
+    budget = _as_budget(budget)
 
     checks: list[CheckResult] = []
     checks.append(_guarded(
         "trace_identity",
         lambda: verify_trace_identity(
             n, d, mode=mode, primes=primes, convention=convention,
-            budget=budget, cache=cache)))
+            budget=budget)))
 
     if mode == "polynomial":
         checks.append(_guarded("semismall", lambda: verify_semismall(n, d)))

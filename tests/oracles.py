@@ -8,17 +8,25 @@ vertical-strip recursion in nilflag.flaggeo.
 rhs_by_definition is the character side of the trace identity for one
 (lam, dv) pair, with every multiplicity counted as the tableaux of the
 unsorted content dv, as a check on nilflag.verifier.trace_identity_rhs.
+
+enumerate_subspaces and quotient_type are the matrix route to the
+kernel/quotient tally: each subspace of an ambient is lifted to ambient
+coordinates, and the Jordan type of the map induced on the quotient is
+read from the ranks of the powers of its matrix.  The tests compare the
+package's intersection-rank tally with it.
 """
 
 from fractions import Fraction
 
 from nilflag.combinatorics import (
+    Partition,
     conjugate,
     enumerate_partitions,
     enumerate_ssyt,
     flag_dim,
     n_stat,
 )
+from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _nilpotent_type
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
 
 
@@ -89,3 +97,71 @@ def interpolate(samples, degree_bound: int) -> LaurentPoly:
                 f"non-integer coefficient {c} at degree {t}; "
                 "wrong degree bound or a counting bug")
     return LaurentPoly({t: int(c) for t, c in enumerate(coeffs) if c})
+
+
+def _combine(srows, base_rows, p: int):
+    """Rows of S * B for coefficient rows S over the basis rows B."""
+    width = len(base_rows[0]) if base_rows else 0
+    return tuple(
+        tuple(
+            sum(c * row[t] for c, row in zip(srow, base_rows) if c) % p
+            for t in range(width)
+        )
+        for srow in srows
+    )
+
+
+def enumerate_subspaces(ambient: FqSubspace, k: int):
+    """Yield every k-dimensional subspace of `ambient` exactly once.
+
+    Subspaces come out as canonical echelon bases inside the ambient's
+    coordinates; the total count equals the Gaussian binomial at p.
+    """
+    if not 0 <= k <= ambient.dim:
+        raise ValueError(f"k must lie in 0..{ambient.dim}, got {k}")
+    m = ambient.dim
+    whole = ambient.dim == ambient.ambient
+    for spivots, srows in _echelon_bases(m, k, ambient.p):
+        if whole:
+            yield FqSubspace(ambient.p, ambient.ambient, spivots, srows)
+        else:
+            rows = _combine(srows, ambient.rows, ambient.p)
+            pivots = tuple(ambient.pivots[c] for c in spivots)
+            yield FqSubspace(ambient.p, ambient.ambient, pivots, rows)
+
+
+def _induced_type(acols, vpivots, vrows, dim: int, p: int) -> Partition:
+    # Jordan type of the operator induced on ambient/v; the classes of
+    # the non-pivot coordinates form a basis of the quotient.
+    rest = [j for j in range(dim) if j not in vpivots]
+    k = len(rest)
+    if k == 0:
+        return ()
+    out = [[0] * k for _ in range(k)]
+    for jj, j in enumerate(rest):
+        w = acols[j]
+        fs = [w[c] for c in vpivots]
+        for ii, t in enumerate(rest):
+            x = w[t]
+            for f, row in zip(fs, vrows):
+                if f:
+                    x -= f * row[t]
+            out[ii][jj] = x % p
+    return _nilpotent_type(tuple(tuple(r) for r in out), p)
+
+
+def quotient_type(a: FqMatrix, v: FqSubspace) -> Partition:
+    """Jordan type of the map induced by a on ambient/v.
+
+    v must be annihilated by a (sit inside the kernel), otherwise the
+    induced map is not defined and a usage error is raised.
+    """
+    if a.nrows != a.ncols:
+        raise ValueError("quotient_type needs a square matrix")
+    if v.ambient != a.ncols or v.p != a.p:
+        raise ValueError("subspace does not match the matrix")
+    for row in v.rows:
+        if any(a.apply(row)):
+            raise ValueError("subspace is not annihilated by the matrix")
+    acols = tuple(a.column(j) for j in range(a.ncols))
+    return _induced_type(acols, v.pivots, v.rows, a.ncols, a.p)

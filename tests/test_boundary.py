@@ -57,11 +57,11 @@ MALFORMED = {
 
 # exported names that take none of the three
 TAKES_NONE = {
-    "Budget", "BudgetExceeded", "CountCache", "LaurentPoly", "StalkConsistencyError",
-    "bootstrap_stalks", "enumerate_dimvecs", "enumerate_partitions", "enumerate_subspaces",
-    "gaussian_binomial", "jordan_type", "kernel_subspace", "nilcone_dim", "parse_parts",
-    "quotient_type", "verify_schur_weyl", "verify_semismall", "verify_stalk_bootstrap",
-    "verify_stalk_hypothesis", "verify_top_components", "verify_young_rule",
+    "Budget", "BudgetExceeded", "LaurentPoly", "StalkConsistencyError", "bootstrap_stalks",
+    "enumerate_dimvecs", "enumerate_partitions", "gaussian_binomial", "jordan_type",
+    "kernel_subspace", "nilcone_dim", "parse_parts", "verify_schur_weyl", "verify_semismall",
+    "verify_stalk_bootstrap", "verify_stalk_hypothesis", "verify_top_components",
+    "verify_young_rule",
 }
 
 

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from nilflag import flaggeo
 from nilflag.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 
@@ -122,30 +121,6 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_verify_cache_skips_enumeration(tmp_path, capsys):
-    cache_path = tmp_path / "counts.jsonl"
-    code1 = run(["verify", "--n", "3", "--d", "3", "--cache", str(cache_path)])
-    out1 = capsys.readouterr().out
-    assert code1 == EXIT_OK
-    assert cache_path.exists()
-
-    before = flaggeo.STATS["subspaces"]
-    code2 = run(["verify", "--n", "3", "--d", "3", "--cache", str(cache_path)])
-    out2 = capsys.readouterr().out
-    assert code2 == EXIT_OK
-    assert flaggeo.STATS["subspaces"] == before  # no field enumeration at all
-    assert out1 == out2
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache_path = tmp_path / "env-cache.jsonl"
-    monkeypatch.setenv("NILFLAG_CACHE", str(cache_path))
-    code, payload = run_json(
-        capsys, "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3")
-    assert code == EXIT_OK and payload == {"count": 4}
-    assert cache_path.exists()
-
-
 def test_malformed_partition_exits_2(capsys):
     code = run(["kostka", "--shape", "2,x", "--weight", "1,1,1"])
     err = capsys.readouterr().err
@@ -176,6 +151,13 @@ def test_budget_exhaustion_exits_2(capsys):
     assert captured.out == ""
     assert "budget" in captured.err and "counting lambda=" in captured.err
     assert run(["verify", "--n", "3", "--d", "5", "--budget", "448"]) == EXIT_OK
+    capsys.readouterr()
+    # a negative budget is a usage error, not a failed check
+    code = run(["verify", "--n", "2", "--d", "2", "--budget", "-3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "budget must be non-negative" in captured.err
 
 
 def test_duplicate_primes_exit_2(capsys):
@@ -211,34 +193,3 @@ def test_round_trip_of_partition_output(capsys):
 
     parsed = [check_partition(p) for p in payload["partitions"]]
     assert parsed == enumerate_partitions(3, 4)
-
-
-def test_torn_and_poisoned_cache_records(tmp_path, capsys):
-    cache_path = tmp_path / "counts.jsonl"
-    # 999 exceeds the 4 flags of its type; 3 is within the 21 flags of its
-    # type, but the count is 5
-    wrong = '{"lambda":[2,1],"dimvec":[1,1,1],"q":2,"count":3}\n'
-    cache_path.write_text(
-        '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n' + wrong
-        + '{"lambda":[2,1],"dim')
-    for lam, dv, q, count in [("1,1", "1,1", "3", 4), ("2,1", "1,1,1", "2", 5)]:
-        for _ in range(2):
-            code, payload = run_json(
-                capsys, "fiber-count", "--lambda", lam, "--dimvec", dv, "--q", q,
-                "--cache", str(cache_path))
-            assert code == EXIT_OK and payload == {"count": count}
-    cache_path.write_text(wrong)
-    code, report = run_json(
-        capsys, "verify", "--n", "3", "--d", "3", "--mode", "numeric",
-        "--cache", str(cache_path))
-    assert code == EXIT_OK, report
-
-
-def test_malformed_cache_line_exits_2(tmp_path, capsys):
-    cache_path = tmp_path / "counts.jsonl"
-    cache_path.write_text('not json\n{"lambda":[1],"dimvec":[1],"q":2,"count":1}\n')
-    code = run([
-        "fiber-count", "--lambda", "1,1", "--dimvec", "1,1", "--q", "3",
-        "--cache", str(cache_path)])
-    assert code == EXIT_USAGE
-    assert "counts.jsonl:1" in capsys.readouterr().err

@@ -1,5 +1,5 @@
-import json
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -15,14 +15,12 @@ from nilflag.combinatorics import (
 from nilflag.flaggeo import (
     Budget,
     BudgetExceeded,
-    CountCache,
     FiberCountRecord,
     FqMatrix,
     FqSubspace,
-    STATS,
+    _kernel_quotient_tally,
     check_prime,
     count_flags,
-    enumerate_subspaces,
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
@@ -30,10 +28,9 @@ from nilflag.flaggeo import (
     jordan_matrix,
     jordan_type,
     kernel_subspace,
-    quotient_type,
 )
 from nilflag.qpoly import LaurentPoly, gaussian_binomial
-from oracles import interpolate
+from oracles import enumerate_subspaces, interpolate, quotient_type
 
 
 def test_primes():
@@ -203,6 +200,25 @@ def test_quotient_type_against_rank_oracle():
                         assert quotient_type(a, v) == oracle(a, v), (lam, v.rows)
 
 
+def test_kernel_quotient_tally_against_matrix_route():
+    # the intersection-rank tally against quotient_type over the kernel's
+    # subspaces lifted to ambient coordinates
+    tallies = 0
+    for d in range(1, 7):
+        for lam in enumerate_partitions(d, d):
+            for p in (2, 3) if d == 6 else (2, 3, 5):
+                a = jordan_matrix(lam, p)
+                ker = kernel_subspace(a)
+                for m in range(len(lam) + 1):
+                    budget = Budget()
+                    tally = _kernel_quotient_tally(lam, m, p, budget)
+                    oracle = Counter(quotient_type(a, v) for v in enumerate_subspaces(ker, m))
+                    assert dict(tally) == oracle, (lam, m, p)
+                    assert budget.used == gaussian_binomial(len(lam), m)(p)
+                    tallies += 1
+    assert tallies == 272
+
+
 def _inverse(m: FqMatrix) -> FqMatrix:
     # Gauss-Jordan on [m | I], test-local
     p = m.p
@@ -358,84 +374,3 @@ def test_budget_refusal():
         Budget(-1)
     # a successful call stays within budget
     assert fiber_count((2, 1), (1, 1, 1), 3, budget=100).count == 7
-
-
-def test_count_cache_roundtrip(tmp_path):
-    path = tmp_path / "counts.jsonl"
-    cache = CountCache(path)
-    assert len(cache) == 0  # missing file tolerated
-    rec = fiber_count((2, 1), (1, 1, 1), 5, cache=cache)
-    assert rec.count == 11
-    line = path.read_text().strip()
-    assert line == '{"lambda":[2,1],"dimvec":[1,1,1],"q":5,"count":11}'
-    assert json.loads(line)["count"] == 11
-
-    reloaded = CountCache(path)
-    assert reloaded.get((2, 1), (1, 1, 1), 5) == 11
-    assert reloaded.get((2, 1), (1, 1, 1), 7) is None
-    # duplicate puts do not append twice
-    reloaded.put(rec)
-    assert len(path.read_text().strip().splitlines()) == 1
-
-
-def test_cached_counts_skip_enumeration(tmp_path):
-    path = tmp_path / "counts.jsonl"
-    cache = CountCache(path)
-    fiber_count((2, 2, 1), (2, 2, 1), 3, cache=cache)
-    fresh_cache = CountCache(path)
-    before = STATS["subspaces"]
-    rec = fiber_count((2, 2, 1), (2, 2, 1), 3, cache=fresh_cache)
-    assert STATS["subspaces"] == before
-    assert rec.count == fiber_count_brute((2, 2, 1), (2, 2, 1), 3).count
-
-
-def test_count_cache_ignores_torn_final_line(tmp_path):
-    path = tmp_path / "counts.jsonl"
-    path.write_text(
-        '{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}\n{"lambda":[2,1],"dim\n')
-    cache = CountCache(path)
-    assert cache.get((1, 1), (1, 1), 2) == 3
-    assert len(cache) == 1
-    # the next append replaces the torn line, so the file reloads cleanly
-    fiber_count((2, 1), (1, 1, 1), 5, cache=cache)
-    assert path.read_text().splitlines() == [
-        '{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}',
-        '{"lambda":[2,1],"dimvec":[1,1,1],"q":5,"count":11}',
-    ]
-    assert CountCache(path).get((2, 1), (1, 1, 1), 5) == 11
-    # a complete last record that lost only its newline is kept
-    path.write_text('{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}')
-    cache = CountCache(path)
-    fiber_count((2,), (1, 1), 2, cache=cache)
-    assert len(CountCache(path)) == 2
-
-
-def test_count_cache_rejects_malformed_interior_line(tmp_path):
-    path = tmp_path / "counts.jsonl"
-    path.write_text(
-        '{"lambda":[1,1],"dimvec":[1,1],"q":2,"count":3}\n'
-        '{"lambda":[2,1],"dim\n'
-        '{"lambda":[2],"dimvec":[1,1],"q":2,"count":1}\n')
-    with pytest.raises(ValueError, match=r"counts\.jsonl:2: malformed"):
-        CountCache(path)
-
-
-def test_count_cache_recounts_impossible_counts(tmp_path):
-    path = tmp_path / "counts.jsonl"
-    # [2; 1,1]_3 = 4 flags in all, so 999 and -1 cannot be counts; 3 is
-    # within the 21 flags of type 1,1,1 over F_2, but the count is 5
-    path.write_text(
-        '{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":999}\n'
-        '{"lambda":[2],"dimvec":[1,1],"q":3,"count":-1}\n'
-        '{"lambda":[2,1],"dimvec":[1,1,1],"q":2,"count":3}\n')
-    cache = CountCache(path)
-    assert cache.get((1, 1), (1, 1), 3) is None
-    assert cache.get((2, 1), (1, 1, 1), 2) is None
-    assert fiber_count((1, 1), (1, 1), 3, cache=cache).count == 4
-    assert fiber_count((2,), (1, 1), 3, cache=cache).count == 1
-    reloaded = CountCache(path)
-    assert reloaded.get((1, 1), (1, 1), 3) == 4
-    assert reloaded.get((2,), (1, 1), 3) == 1
-    # a count at the bound itself is kept
-    path.write_text('{"lambda":[1,1],"dimvec":[1,1],"q":3,"count":4}\n')
-    assert CountCache(path).get((1, 1), (1, 1), 3) == 4

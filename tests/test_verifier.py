@@ -9,7 +9,7 @@ from nilflag.combinatorics import (
     n_stat,
     orbit_dim,
 )
-from nilflag.flaggeo import CountCache, fiber_polynomial
+from nilflag.flaggeo import fiber_polynomial
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
 from nilflag.verifier import (
     bootstrap_stalks,
@@ -205,13 +205,6 @@ class TestSuite:
         for check in payload["checks"]:
             assert set(check) == {"name", "status", "cases", "witnesses"}
             assert check["status"] in ("pass", "fail", "skipped")
-
-    def test_suite_with_cache(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        r1 = run_suite(2, 3, cache=CountCache(path)).to_json()
-        r2 = run_suite(2, 3, cache=CountCache(path)).to_json()
-        assert r1 == r2
-        assert path.exists() and path.read_text().strip()
 
     def test_primes_are_count_primes_in_both_modes(self):
         for mode in ("polynomial", "numeric"):
