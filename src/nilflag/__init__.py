@@ -33,8 +33,6 @@ from .flaggeo import (
     fiber_count_brute,
     fiber_polynomial,
     jordan_matrix,
-    jordan_type,
-    kernel_subspace,
 )
 from .qpoly import (
     LaurentPoly,

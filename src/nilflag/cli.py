@@ -140,8 +140,7 @@ def _dispatch(args) -> int:
     if args.command == "fiber-count":
         lam, dv = parse_parts(args.lam), parse_parts(args.dimvec)
         route = fiber_count_brute if args.brute else fiber_count
-        record = route(lam, dv, args.q, budget=args.budget)
-        _emit({"count": record.count}, args.pretty)
+        _emit({"count": route(lam, dv, args.q, budget=args.budget)}, args.pretty)
         return EXIT_OK
 
     if args.command == "fiber-poly":
@@ -166,11 +165,10 @@ def _dispatch(args) -> int:
             convention=args.convention,
             budget=args.budget,
         )
-        text = report.to_json(pretty=args.pretty)
-        print(text)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json() + "\n")
+        print(report.to_json(pretty=args.pretty))
         return EXIT_OK if report.ok else EXIT_FAIL
 
     if args.command == "schur-weyl":

@@ -5,20 +5,19 @@ their unique reduced row-echelon basis, so each subspace has exactly one
 representation.  Vectors are row tuples; a matrix acts on the vector v
 as the column product a*v.
 
-Two enumerating routes count flags over one F_p.  fiber_count_brute
-enumerates flags one step at a time straight from the definition.
-fiber_count recurses: the first flag step ranges over subspaces U of the
-kernel, the problem descends to the quotient by U, and results are
-memoized on (Jordan type, remaining jump vector, p) in the Budget that
-paid for their enumeration.  U is enumerated in the kernel's own
-coordinates, and the quotient's Jordan type is read from the ranks of
-U against the subspaces ker a & im a^k, with no matrix built.  When the
-operator vanishes the step count is a Gaussian binomial and no
-enumeration happens.
-
-fiber_polynomial gives the count for every q at once, with no field at
-all: the same recursion, with the enumerated tally of quotient types
-replaced by its closed form, the vertical-strip Hall polynomials.
+fiber_count_brute counts flags over F_p straight from the definition,
+one step at a time.  fiber_count and fiber_polynomial share one
+recursion, _flag_sum: the first flag step ranges over the subspaces U of
+the kernel, the problem descends to the quotient by U, and results are
+memoized on (Jordan type, remaining jumps).  Only the tally of quotient
+types and their weights differs.  At a prime p it counts the U, kept in
+the Budget that paid for the enumeration.  When the operator vanishes,
+every m-subspace leaves type 1^(d-m), in [d; m]_p ways, and nothing is
+enumerated; otherwise each U is enumerated in the kernel's own
+coordinates and the quotient type is read from the ranks of U against
+the subspaces ker a & im a^k, with no matrix built.  For the polynomial
+in q, the tally is its closed form, the vertical-strip Hall polynomials,
+and no field is needed.
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ class Budget:
     """Caps the subspaces one run enumerates, and holds what they paid for.
 
     A run is one fiber_count call given an int or None, or every call
-    sharing this Budget.  The memo (Jordan type, remaining jumps, p) ->
-    count and the tally (Jordan type, first jump, p) -> ((quotient type,
-    multiplicity), ...) live here, so a count is reused only under the
-    budget that was charged for it and an outcome never depends on what
-    the process computed before.
+    sharing this Budget.  The memo p -> {(Jordan type, remaining jumps)
+    -> count} and the tally (Jordan type, first jump, p) -> ((quotient
+    type, multiplicity), ...) live here, so a count is reused only under
+    the budget that was charged for it and an outcome never depends on
+    what the process computed before.
     """
 
     def __init__(self, limit: int | None = None):
@@ -63,7 +62,7 @@ class Budget:
         if self.limit < 0:
             raise ValueError("budget must be non-negative")
         self.used = 0
-        self.memo: dict[tuple, int] = {}
+        self.memo: dict[int, dict[tuple, int]] = {}
         self.tally: dict[tuple, tuple] = {}
 
     def charge(self, amount: int = 1) -> None:
@@ -126,13 +125,6 @@ def _rref(rows, p: int):
     return tuple(pivots), tuple(tuple(row) for row in mat[:r])
 
 
-def _matmul(a, b, p: int):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
-
-
 @dataclass(frozen=True)
 class FqMatrix:
     """Matrix over F_p as a tuple of row tuples of residues.
@@ -166,27 +158,12 @@ class FqMatrix:
         """The column product a * vec."""
         return tuple(sum(x * y for x, y in zip(row, vec)) % self.p for row in self.rows)
 
-    def mul(self, other: "FqMatrix") -> "FqMatrix":
-        if self.p != other.p or self.ncols != other.nrows:
-            raise ValueError("incompatible matrices")
-        return FqMatrix(self.p, _matmul(self.rows, other.rows, self.p))
-
-    def rank(self) -> int:
-        return len(_rref(self.rows, self.p)[1])
-
-    def transpose(self) -> "FqMatrix":
-        return FqMatrix(self.p, tuple(zip(*self.rows)) if self.rows else ())
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not any(row) for row in self.rows)
-
 
 @dataclass(frozen=True)
 class FqSubspace:
     """Subspace of F_p^n held as its canonical reduced row-echelon basis.
 
-    span, full and zero check the prime; the field constructor trusts
+    span and zero check the prime; the field constructor trusts
     its fields to be a canonical basis.
     """
 
@@ -211,12 +188,6 @@ class FqSubspace:
         return cls(p, ambient, pivots, rows)
 
     @classmethod
-    def full(cls, n: int, p) -> "FqSubspace":
-        p = check_prime(p)
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(p, n, tuple(range(n)), rows)
-
-    @classmethod
     def zero(cls, n: int, p) -> "FqSubspace":
         return cls(check_prime(p), n, (), ())
 
@@ -235,9 +206,6 @@ class FqSubspace:
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))
-
-    def contains(self, other: "FqSubspace") -> bool:
-        return all(self.contains_vector(row) for row in other.rows)
 
 
 def _echelon_bases(m: int, k: int, p: int, budget: Budget | None = None):
@@ -276,63 +244,6 @@ def _jordan_matrix(lam: Partition, p: int) -> FqMatrix:
             rows[i][i + 1] = 1
         start += part
     return FqMatrix(p, tuple(tuple(r) for r in rows))
-
-
-def _nilpotent_type(rows, p: int) -> Partition:
-    """Jordan type from the rank sequence of powers; raises if not nilpotent."""
-    k = len(rows)
-    if k == 0:
-        return ()
-    ranks = [k]
-    power = rows
-    for _ in range(k):
-        r = len(_rref(power, p)[1])
-        ranks.append(r)
-        if r == 0:
-            break
-        power = _matmul(power, rows, p)
-    if ranks[-1] != 0:
-        raise ValueError("matrix is not nilpotent")
-    cols = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
-    return conjugate(check_partition(cols))
-
-
-def jordan_type(a: FqMatrix) -> Partition:
-    """Jordan type of a nilpotent matrix."""
-    if a.nrows != a.ncols:
-        raise ValueError("jordan_type needs a square matrix")
-    return _nilpotent_type(a.rows, a.p)
-
-
-def kernel_subspace(a: FqMatrix) -> FqSubspace:
-    """Null space of a, canonicalized."""
-    pivots, rows = _rref(a.rows, a.p)
-    n = a.ncols
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = [0] * n
-        vec[f] = 1
-        for row, c in zip(rows, pivots):
-            vec[c] = (-row[f]) % a.p
-        basis.append(vec)
-    return FqSubspace(a.p, n, *_rref(basis, a.p))
-
-
-@dataclass(frozen=True)
-class FiberCountRecord:
-    """One exact count of flags compatible with a fixed nilpotent.
-
-    `lam` is the Jordan type, `dimvec` the flag jump vector, q the
-    prime, count the number of F_q-rational flags.
-    """
-
-    lam: Partition
-    dimvec: DimVector
-    q: int
-    count: int
 
 
 def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
@@ -380,15 +291,14 @@ def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
     return level(0, FqSubspace.zero(d, p))
 
 
-def fiber_count_brute(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
+def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     """Exact flag count by direct enumeration (the oracle route)."""
     lam = check_partition(lam)
     dimvec = check_dimvec(dimvec)
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    count = count_flags(_jordan_matrix(lam, p), dimvec, budget=budget)
-    return FiberCountRecord(lam, dimvec, p, count)
+    return count_flags(_jordan_matrix(lam, p), dimvec, budget=budget)
 
 
 def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
@@ -422,41 +332,32 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     return result
 
 
-def _flag_count(lam: Partition, dims: DimVector, p: int, budget: Budget) -> int:
-    key = (lam, dims, p)
-    hit = budget.memo.get(key)
+def _flag_sum(lam: Partition, dims: DimVector, tally, memo: dict):
+    """Flags of type lam with jumps dims, summed over the first step.
+
+    tally(lam, m) gives each quotient type mu left by an m-subspace of
+    ker(a) with its weight: a count at one prime, or a polynomial in q.
+    """
+    key = (lam, dims)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    d = sum(lam)
     if len(dims) == 1:
         # the single step is the whole space; a must vanish on it
-        count = 1 if all(part == 1 for part in lam) else 0
+        total = 1 if all(part == 1 for part in lam) else 0
     elif lam and lam[0] > len(dims):
         # an n-step flag forces a^n = 0, so blocks longer than n kill the fiber
-        count = 0
-    elif all(part == 1 for part in lam):
-        # a = 0: any first step works and the quotient type is forced
-        d1 = dims[0]
-        choices = gaussian_binomial(d, d1)(p)
-        count = (
-            choices * _flag_count((1,) * (d - d1), dims[1:], p, budget)
-            if choices
-            else 0
-        )
+        total = 0
     else:
-        d1 = dims[0]
-        if d1 > len(lam):
-            # the first step must land inside the kernel
-            count = 0
-        else:
-            count = 0
-            for tau, mult in _kernel_quotient_tally(lam, d1, p, budget):
-                count += mult * _flag_count(tau, dims[1:], p, budget)
-    budget.memo[key] = count
-    return count
+        total = 0
+        rest = dims[1:]
+        for mu, weight in tally(lam, dims[0]):
+            total += weight * _flag_sum(mu, rest, tally, memo)
+    memo[key] = total
+    return total
 
 
-def fiber_count(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
+def fiber_count(lam, dimvec, p, *, budget=None) -> int:
     """Exact flag count via the kernel/quotient recursion (the fast route).
 
     Agrees with fiber_count_brute everywhere.  An int or None budget
@@ -468,14 +369,21 @@ def fiber_count(lam, dimvec, p, *, budget=None) -> FiberCountRecord:
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    count = _fiber_count(lam, dimvec, p, _as_budget(budget))
-    return FiberCountRecord(lam, dimvec, p, count)
+    return _fiber_count(lam, dimvec, p, _as_budget(budget))
 
 
 def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> int:
     """The count of fiber_count for a valid instance."""
+
+    def tally(lam, d1):
+        if not lam or lam[0] == 1:
+            # a = 0: every d1-subspace leaves type 1^(d-d1); none is enumerated
+            d = len(lam)
+            return (((1,) * (d - d1), gaussian_binomial(d, d1)(p)),)
+        return _kernel_quotient_tally(lam, d1, p, budget)
+
     try:
-        return _flag_count(lam, dimvec, p, budget)
+        return _flag_sum(lam, dimvec, tally, budget.memo.setdefault(p, {}))
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
@@ -509,15 +417,13 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
     return tuple(out)
 
 
-@cache
+# (Jordan type, remaining jumps) -> count polynomial; nothing is enumerated
+_POLY_MEMO: dict[tuple, LaurentPoly | int] = {}
+
+
 def _fiber_poly(lam: Partition, dims: DimVector) -> LaurentPoly:
-    if len(dims) == 1:
-        # the single step is the whole space; a must vanish on it
-        return LaurentPoly.one() if all(part == 1 for part in lam) else LaurentPoly()
-    total = LaurentPoly()
-    for mu, g_poly in _strip_tally(lam, dims[0]):
-        total = total + g_poly * _fiber_poly(mu, dims[1:])
-    return total
+    # the recursion's base cases are the ints 0 and 1
+    return LaurentPoly.one() * _flag_sum(lam, dims, _strip_tally, _POLY_MEMO)
 
 
 def fiber_polynomial(lam, dimvec) -> LaurentPoly:

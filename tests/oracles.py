@@ -13,20 +13,23 @@ enumerate_subspaces and quotient_type are the matrix route to the
 kernel/quotient tally: each subspace of an ambient is lifted to ambient
 coordinates, and the Jordan type of the map induced on the quotient is
 read from the ranks of the powers of its matrix.  The tests compare the
-package's intersection-rank tally with it.
+package's intersection-rank tally with it.  The F_p matrix and subspace
+operations that route needs (products, ranks, kernels, Jordan types,
+containment) live here too, as the package itself never calls them.
 """
 
 from fractions import Fraction
 
 from nilflag.combinatorics import (
     Partition,
+    check_partition,
     conjugate,
     enumerate_partitions,
     enumerate_ssyt,
     flag_dim,
     n_stat,
 )
-from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _nilpotent_type
+from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _rref
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
 
 
@@ -97,6 +100,84 @@ def interpolate(samples, degree_bound: int) -> LaurentPoly:
                 f"non-integer coefficient {c} at degree {t}; "
                 "wrong degree bound or a counting bug")
     return LaurentPoly({t: int(c) for t, c in enumerate(coeffs) if c})
+
+
+def _matmul(a, b, p: int):
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
+    )
+
+
+def mul(a: FqMatrix, b: FqMatrix) -> FqMatrix:
+    if a.p != b.p or a.ncols != b.nrows:
+        raise ValueError("incompatible matrices")
+    return FqMatrix(a.p, _matmul(a.rows, b.rows, a.p))
+
+
+def rank(a: FqMatrix) -> int:
+    return len(_rref(a.rows, a.p)[1])
+
+
+def transpose(a: FqMatrix) -> FqMatrix:
+    return FqMatrix(a.p, tuple(zip(*a.rows)) if a.rows else ())
+
+
+def is_zero(a: FqMatrix) -> bool:
+    return all(not any(row) for row in a.rows)
+
+
+def full_space(n: int, p: int) -> FqSubspace:
+    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return FqSubspace(p, n, tuple(range(n)), rows)
+
+
+def contains(v: FqSubspace, w: FqSubspace) -> bool:
+    """Whether the subspace w lies inside v."""
+    return all(v.contains_vector(row) for row in w.rows)
+
+
+def _nilpotent_type(rows, p: int) -> Partition:
+    """Jordan type from the rank sequence of powers; raises if not nilpotent."""
+    k = len(rows)
+    if k == 0:
+        return ()
+    ranks = [k]
+    power = rows
+    for _ in range(k):
+        r = len(_rref(power, p)[1])
+        ranks.append(r)
+        if r == 0:
+            break
+        power = _matmul(power, rows, p)
+    if ranks[-1] != 0:
+        raise ValueError("matrix is not nilpotent")
+    cols = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
+    return conjugate(check_partition(cols))
+
+
+def jordan_type(a: FqMatrix) -> Partition:
+    """Jordan type of a nilpotent matrix."""
+    if a.nrows != a.ncols:
+        raise ValueError("jordan_type needs a square matrix")
+    return _nilpotent_type(a.rows, a.p)
+
+
+def kernel_subspace(a: FqMatrix) -> FqSubspace:
+    """Null space of a, canonicalized."""
+    pivots, rows = _rref(a.rows, a.p)
+    n = a.ncols
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        vec = [0] * n
+        vec[f] = 1
+        for row, c in zip(rows, pivots):
+            vec[c] = (-row[f]) % a.p
+        basis.append(vec)
+    return FqSubspace(a.p, n, *_rref(basis, a.p))
 
 
 def _combine(srows, base_rows, p: int):

@@ -19,7 +19,6 @@ MALFORMED = {
     "FqMatrix": [lambda c: c.build([[0, 1], [0, 0]], BAD_PRIME)],
     "FqSubspace": [
         lambda c: c.span([(1, 0)], BAD_PRIME),
-        lambda c: c.full(2, BAD_PRIME),
         lambda c: c.zero(2, BAD_PRIME),
     ],
     "charge": [lambda f: f(((2,), (3,)))],
@@ -58,10 +57,9 @@ MALFORMED = {
 # exported names that take none of the three
 TAKES_NONE = {
     "Budget", "BudgetExceeded", "LaurentPoly", "StalkConsistencyError", "bootstrap_stalks",
-    "enumerate_dimvecs", "enumerate_partitions", "gaussian_binomial", "jordan_type",
-    "kernel_subspace", "nilcone_dim", "parse_parts", "verify_schur_weyl", "verify_semismall",
-    "verify_stalk_bootstrap", "verify_stalk_hypothesis", "verify_top_components",
-    "verify_young_rule",
+    "enumerate_dimvecs", "enumerate_partitions", "gaussian_binomial", "nilcone_dim",
+    "parse_parts", "verify_schur_weyl", "verify_semismall", "verify_stalk_bootstrap",
+    "verify_stalk_hypothesis", "verify_top_components", "verify_young_rule",
 }
 
 

@@ -112,6 +112,17 @@ def test_verify_report_file(tmp_path, capsys):
     assert on_disk == payload
 
 
+def test_verify_unwritable_report_exits_2(tmp_path, capsys):
+    # the report file is written before anything is printed
+    missing = tmp_path / "no-such-dir" / "report.json"
+    code = run(["verify", "--n", "2", "--d", "2", "--report", str(missing)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_deterministic_output(capsys):
     code1 = run(["verify", "--n", "2", "--d", "3"])
     out1 = capsys.readouterr().out

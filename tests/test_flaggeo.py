@@ -15,7 +15,6 @@ from nilflag.combinatorics import (
 from nilflag.flaggeo import (
     Budget,
     BudgetExceeded,
-    FiberCountRecord,
     FqMatrix,
     FqSubspace,
     _kernel_quotient_tally,
@@ -26,11 +25,21 @@ from nilflag.flaggeo import (
     fiber_polynomial,
     is_prime,
     jordan_matrix,
-    jordan_type,
-    kernel_subspace,
 )
 from nilflag.qpoly import LaurentPoly, gaussian_binomial
-from oracles import enumerate_subspaces, interpolate, quotient_type
+from oracles import (
+    contains,
+    enumerate_subspaces,
+    full_space,
+    interpolate,
+    is_zero,
+    jordan_type,
+    kernel_subspace,
+    mul,
+    quotient_type,
+    rank,
+    transpose,
+)
 
 
 def test_primes():
@@ -44,10 +53,10 @@ def test_matrix_basics():
     assert a.rows == ((1, 2), (0, 1))
     assert a.apply((1, 1)) == (0, 1)
     assert a.column(1) == (2, 1)
-    assert a.rank() == 2
-    assert a.mul(a).rows == ((1, 1), (0, 1))
-    assert a.transpose().rows == ((1, 0), (2, 1))
-    assert not a.is_zero
+    assert rank(a) == 2
+    assert mul(a, a).rows == ((1, 1), (0, 1))
+    assert transpose(a).rows == ((1, 0), (2, 1))
+    assert not is_zero(a)
     with pytest.raises(ValueError):
         FqMatrix.build([[1], [1, 2]], 3)
 
@@ -74,10 +83,10 @@ def test_rank_one_square_zero_is_type_two():
     p = 3
     for entries in product(range(p), repeat=4):
         m = FqMatrix.build([entries[:2], entries[2:]], p)
-        if m.is_zero:
+        if is_zero(m):
             continue
-        if m.mul(m).is_zero:
-            assert m.rank() == 1
+        if is_zero(mul(m, m)):
+            assert rank(m) == 1
             assert jordan_type(m) == (2,)
 
 
@@ -110,16 +119,16 @@ def test_subspace_reduce_and_contains():
     assert not v.contains_vector((1, 1, 1))
     assert v.reduce((1, 1, 0)) == (0, 0, 0)
     w = FqSubspace.span([(1, 1, 0)], 2)
-    assert v.contains(w)
-    assert not w.contains(v)
+    assert contains(v, w)
+    assert not contains(w, v)
     assert FqSubspace.zero(3, 2).dim == 0
-    assert FqSubspace.full(3, 2).contains(v)
+    assert contains(full_space(3, 2), v)
 
 
 def test_enumerate_subspaces_counts_and_uniqueness():
     for p in (2, 3):
         for m in range(5):
-            full = FqSubspace.full(m, p)
+            full = full_space(m, p)
             for k in range(m + 1):
                 seen = set()
                 for s in enumerate_subspaces(full, k):
@@ -131,7 +140,7 @@ def test_enumerate_subspaces_counts_and_uniqueness():
                     assert again.rows == s.rows
                 assert len(seen) == gaussian_binomial(m, k)(p)
     with pytest.raises(ValueError):
-        list(enumerate_subspaces(FqSubspace.full(2, 2), 3))
+        list(enumerate_subspaces(full_space(2, 2), 3))
 
 
 def test_enumerate_subspaces_of_proper_ambient():
@@ -141,7 +150,7 @@ def test_enumerate_subspaces_of_proper_ambient():
     lines = list(enumerate_subspaces(ker, 1))
     assert len(lines) == gaussian_binomial(2, 1)(3) == 4
     for line in lines:
-        assert ker.contains(line)
+        assert contains(ker, line)
         assert line.rows == FqSubspace.span(line.rows, 3, ambient=3).rows
 
 
@@ -186,7 +195,7 @@ def test_quotient_type_against_rank_oracle():
             ranks.append(r)
             if r == 0:
                 break
-            power = power.mul(a)
+            power = mul(power, a)
         cols = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
         return conjugate(cols)
 
@@ -246,16 +255,16 @@ def test_count_flags_representative_independence():
                     dv: count_flags(a, dv) for dv in enumerate_dimvecs(2, d)
                 }
                 # transpose is conjugate to a
-                at = a.transpose()
+                at = transpose(a)
                 for dv, expected in base_counts.items():
                     assert count_flags(at, dv) == expected
                 # a random conjugate g a g^-1
                 while True:
                     g = FqMatrix.build(
                         [[rng.randrange(p) for _ in range(d)] for _ in range(d)], p)
-                    if g.rank() == d:
+                    if rank(g) == d:
                         break
-                conj = g.mul(a).mul(_inverse(g))
+                conj = mul(mul(g, a), _inverse(g))
                 assert jordan_type(conj) == lam
                 for dv, expected in base_counts.items():
                     assert count_flags(conj, dv) == expected
@@ -263,17 +272,16 @@ def test_count_flags_representative_independence():
 
 def test_fiber_count_brute_examples():
     for q in (2, 3, 5):
-        assert fiber_count_brute((1, 1), (1, 1), q).count == q + 1
-        assert fiber_count_brute((2,), (1, 1), q).count == 1
-    rec = fiber_count_brute((2, 1), (1, 1, 1), 2)
-    assert rec == FiberCountRecord((2, 1), (1, 1, 1), 2, 5)
+        assert fiber_count_brute((1, 1), (1, 1), q) == q + 1
+        assert fiber_count_brute((2,), (1, 1), q) == 1
+    assert fiber_count_brute((2, 1), (1, 1, 1), 2) == 5
 
 
 def test_fiber_count_examples():
     for q in (2, 3, 5):
-        assert fiber_count((1, 1, 1), (2, 1), q).count == q * q + q + 1
-        assert fiber_count((2, 1), (2, 1), q).count == 1
-        assert fiber_count((2, 1), (1, 1, 1), q).count == 2 * q + 1
+        assert fiber_count((1, 1, 1), (2, 1), q) == q * q + q + 1
+        assert fiber_count((2, 1), (2, 1), q) == 1
+        assert fiber_count((2, 1), (1, 1, 1), q) == 2 * q + 1
 
 
 def test_fiber_count_validation():
@@ -290,8 +298,8 @@ def test_fiber_count_matches_brute_small():
                 for dv in enumerate_dimvecs(n, d):
                     for p in (2, 3):
                         assert (
-                            fiber_count(lam, dv, p).count
-                            == fiber_count_brute(lam, dv, p).count
+                            fiber_count(lam, dv, p)
+                            == fiber_count_brute(lam, dv, p)
                         ), (lam, dv, p)
 
 
@@ -305,20 +313,20 @@ def test_zero_matrix_counts_are_gaussian_products():
                     for step in dv:
                         expected *= gaussian_binomial(left, step)(p)
                         left -= step
-                    assert fiber_count((1,) * d, dv, p).count == expected
+                    assert fiber_count((1,) * d, dv, p) == expected
 
 
 def test_blocks_longer_than_flag_kill_the_fiber():
     for p in (2, 3, 5):
-        assert fiber_count((3,), (2, 1), p).count == 0
-        assert fiber_count_brute((3,), (2, 1), p).count == 0
-        assert fiber_count((4, 1), (2, 2, 1), p).count == 0
+        assert fiber_count((3,), (2, 1), p) == 0
+        assert fiber_count_brute((3,), (2, 1), p) == 0
+        assert fiber_count((4, 1), (2, 2, 1), p) == 0
 
 
 def test_empty_fiber_consistency():
     for p in (2, 3, 5, 7):
-        assert fiber_count((2,), (2, 0), p).count == 0
-        assert fiber_count((2,), (0, 2), p).count == 0
+        assert fiber_count((2,), (2, 0), p) == 0
+        assert fiber_count((2,), (0, 2), p) == 0
 
 
 def test_fiber_polynomial_fixed_points():
@@ -342,13 +350,13 @@ def test_fiber_polynomial_properties():
                 assert poly == fiber_polynomial(lam, tuple(sorted(dv, reverse=True))), (lam, dv)
                 bound = flag_dim(dv) - bound_base
                 if bound < 0:
-                    assert poly.is_zero and fiber_count(lam, dv, 2).count == 0
+                    assert poly.is_zero and fiber_count(lam, dv, 2) == 0
                     continue
                 if (n, d) not in interpolated:
                     continue
                 # the interpolant of enumerated counts at bound + 2 primes
                 # has degree <= bound and equals the strip polynomial
-                samples = [(p, fiber_count(lam, dv, p).count) for p in primes[: bound + 2]]
+                samples = [(p, fiber_count(lam, dv, p)) for p in primes[: bound + 2]]
                 assert interpolate(samples, bound) == poly, (lam, dv)
 
 
@@ -367,10 +375,10 @@ def test_budget_refusal():
     # the same outcome cold and after an unbudgeted count of the instance
     with pytest.raises(BudgetExceeded, match=r"13 > 10\) counting lambda=\[2, 1, 1\]"):
         fiber_count((2, 1, 1), (1, 1, 1, 1), 3, budget=10)
-    assert fiber_count((2, 1, 1), (1, 1, 1, 1), 3).count == 136
+    assert fiber_count((2, 1, 1), (1, 1, 1, 1), 3) == 136
     with pytest.raises(BudgetExceeded, match=r"13 > 10"):
         fiber_count((2, 1, 1), (1, 1, 1, 1), 3, budget=10)
     with pytest.raises(ValueError):
         Budget(-1)
     # a successful call stays within budget
-    assert fiber_count((2, 1), (1, 1, 1), 3, budget=100).count == 7
+    assert fiber_count((2, 1), (1, 1, 1), 3, budget=100) == 7

@@ -142,18 +142,12 @@ class TestDegreeChecks:
 
 class TestDimensionChecks:
     def test_schur_weyl_values(self):
-        for n, d in [(2, 2), (2, 3), (3, 3), (4, 5)]:
+        for n, d in [(2, 2), (2, 3), (3, 3), (4, 5), (7, 3), (2, 8), (8, 8)]:
             assert verify_schur_weyl(n, d).status == "pass"
-        with pytest.raises(ValueError):
-            verify_schur_weyl(7, 3)
-        with pytest.raises(ValueError):
-            verify_schur_weyl(2, 8)
 
     def test_young_rule(self):
-        for d in range(1, 8):
+        for d in range(1, 11):
             assert verify_young_rule(d).status == "pass"
-        with pytest.raises(ValueError):
-            verify_young_rule(9)
 
 
 class TestSuite:
