@@ -22,9 +22,9 @@ and no field is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .combinatorics import (
     DimVector,
@@ -125,8 +125,7 @@ def _rref(rows, p: int):
     return tuple(pivots), tuple(tuple(row) for row in mat[:r])
 
 
-@dataclass(frozen=True)
-class FqMatrix:
+class FqMatrix(NamedTuple):
     """Matrix over F_p as a tuple of row tuples of residues.
 
     FqMatrix.build checks its input; the field constructor trusts it.
@@ -159,8 +158,7 @@ class FqMatrix:
         return tuple(sum(x * y for x, y in zip(row, vec)) % self.p for row in self.rows)
 
 
-@dataclass(frozen=True)
-class FqSubspace:
+class FqSubspace(NamedTuple):
     """Subspace of F_p^n held as its canonical reduced row-echelon basis.
 
     span and zero check the prime; the field constructor trusts
@@ -301,6 +299,39 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     return count_flags(_jordan_matrix(lam, p), dimvec, budget=budget)
 
 
+def _right_pivots(rows, p: int) -> list[int]:
+    """The columns, right to left, where the rank of the rows' projection
+    to the coordinates c.. grows.
+
+    Eliminates column by column from the right: the first live row with
+    an entry there is its pivot and leaves, and the others are cleared
+    in that column by cross-multiplication, so nothing is scaled and no
+    pivot row is touched again.  Rows are cut to the columns still to
+    come, and the sweep stops when no live row is left.
+    """
+    live = [list(r) for r in rows if any(r)]
+    pivots = []
+    c = len(rows[0]) if live else 0
+    while live and c:
+        c -= 1
+        pivot = None
+        rest = []
+        for row in live:
+            x = row.pop()
+            if not x:
+                rest.append(row)
+            elif pivot is None:
+                pivot, y = row, x
+            else:
+                row = [(y * s - x * t) % p for s, t in zip(row, pivot)]
+                if any(row):
+                    rest.append(row)
+        if pivot is not None:
+            pivots.append(c)
+        live = rest
+    return pivots
+
+
 def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     """The quotient types left by the d1-subspaces U of ker(a), for a of
     type lam, each with the number of U that leave it.
@@ -310,6 +341,9 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     them.  As U lies in ker a, U & im a^k = U & W_k, and
     dim ker(a^k on V/U) = dim ker a^k - rank(U's rows without W_k's
     coordinates); its steps in k are the columns of the quotient type.
+    Those ranks are read from U's right pivots, the columns where the
+    rank of its coordinates c.. grows, so U is counted under its pivot
+    set and each distinct set becomes a quotient type once.
     """
     key = (lam, d1, p)
     hit = budget.tally.get(key)
@@ -317,16 +351,18 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
         return hit
     ell = len(lam)
     budget.charge(gaussian_binomial(ell, d1)(p))
+    by_pivots: dict[tuple[int, ...], int] = {}
+    for _, rows in _echelon_bases(ell, d1, p):
+        pivots = tuple(_right_pivots(rows, p))
+        by_pivots[pivots] = by_pivots.get(pivots, 0) + 1
     cols = conjugate(lam)
     counts: dict[Partition, int] = {}
-    for _, rows in _echelon_bases(ell, d1, p):
-        # eliminating from the last coordinate leftward, the rank of the
-        # coordinates c.. is the number of pivots below ell - c
-        pivots = _rref([row[::-1] for row in rows], p)[0]
-        ranks = [sum(1 for j in pivots if j < ell - c) for c in cols + (0,)]
+    for pivots, count in by_pivots.items():
+        # the rank of the coordinates c.. is the number of pivots at or after c
+        ranks = [sum(1 for j in pivots if j >= c) for c in cols + (0,)]
         tau_cols = [c - r1 + r0 for c, r0, r1 in zip(cols, ranks, ranks[1:])]
         tau = conjugate(tuple(c for c in tau_cols if c))
-        counts[tau] = counts.get(tau, 0) + 1
+        counts[tau] = counts.get(tau, 0) + count
     result = tuple(sorted(counts.items()))
     budget.tally[key] = result
     return result

@@ -13,7 +13,6 @@ explicit negative exponents as in "q^-1+2q^-2".
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 
 from .combinatorics import (
@@ -139,6 +138,10 @@ class LaurentPoly:
     def __call__(self, x: int):
         """Exact evaluation; returns an int, or a Fraction when q->x
         hits a negative exponent that does not divide out."""
+        if all(e >= 0 for e in self._c):
+            return sum(c * x**e for e, c in self._c.items())
+        from fractions import Fraction  # loaded only here, off the start-up path
+
         total = sum(c * x**e if e >= 0 else Fraction(c, x ** -e) for e, c in self._c.items())
         return int(total) if total.denominator == 1 else total
 
@@ -150,6 +153,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its int, so it must hash as that int
+        if not self._c.keys() - {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self):

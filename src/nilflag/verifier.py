@@ -14,7 +14,7 @@ run parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .combinatorics import (
     DimVector,
@@ -46,18 +46,17 @@ class StalkConsistencyError(ValueError):
     """The overdetermined stalk system has no common solution."""
 
 
-@dataclass
 class CheckResult:
     """One check's outcome: "fail" if it has a witness, else "pass",
     unless skipped.  Witnesses are kept in canonical order."""
 
-    name: str
-    cases: int = 0
-    witnesses: list[dict] = field(default_factory=list)
-    skipped: bool = False
-
-    def __post_init__(self):
+    def __init__(self, name: str, cases: int = 0, witnesses: list[dict] | None = None,
+                 skipped: bool = False):
+        self.name = name
+        self.cases = cases
+        self.witnesses = [] if witnesses is None else witnesses
         self.witnesses.sort(key=_witness_key)
+        self.skipped = skipped
 
     @property
     def status(self) -> str:
@@ -74,8 +73,7 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     params: dict
     checks: list[CheckResult]
 
@@ -93,8 +91,7 @@ class VerificationReport:
         return json.dumps(payload, separators=(",", ":"))
 
 
-@dataclass
-class StalkTable:
+class StalkTable(NamedTuple):
     """Solved stalk traces t_P(lam), one Laurent polynomial per pair."""
 
     n: int

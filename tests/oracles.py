@@ -16,6 +16,10 @@ read from the ranks of the powers of its matrix.  The tests compare the
 package's intersection-rank tally with it.  The F_p matrix and subspace
 operations that route needs (products, ranks, kernels, Jordan types,
 containment) live here too, as the package itself never calls them.
+
+right_pivots_by_rref reads the columns where the rank of a row list's
+coordinates c.. grows from the reduced row echelon form of the reversed
+rows, the route the tally took before its right-to-left elimination.
 """
 
 from fractions import Fraction
@@ -100,6 +104,15 @@ def interpolate(samples, degree_bound: int) -> LaurentPoly:
                 f"non-integer coefficient {c} at degree {t}; "
                 "wrong degree bound or a counting bug")
     return LaurentPoly({t: int(c) for t, c in enumerate(coeffs) if c})
+
+
+def right_pivots_by_rref(rows, p: int) -> list[int]:
+    """The columns, right to left, where the rank of the rows' coordinates
+    c.. grows: the RREF pivots of the reversed rows, mapped back."""
+    if not rows:
+        return []
+    m = len(rows[0])
+    return [m - 1 - j for j in _rref([row[::-1] for row in rows], p)[0]]
 
 
 def _matmul(a, b, p: int):

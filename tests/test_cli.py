@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +207,17 @@ def test_round_trip_of_partition_output(capsys):
 
     parsed = [check_partition(p) for p in payload["partitions"]]
     assert parsed == enumerate_partitions(3, 4)
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # start-up cost: the CLI needs neither dataclasses nor fractions, nor
+    # the inspect and decimal modules they pull in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import nilflag.cli; print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+    added = set(out.split())
+    assert "nilflag.cli" in added
+    assert not added & {"dataclasses", "fractions", "inspect", "decimal"}

@@ -17,7 +17,9 @@ from nilflag.flaggeo import (
     BudgetExceeded,
     FqMatrix,
     FqSubspace,
+    _echelon_bases,
     _kernel_quotient_tally,
+    _right_pivots,
     check_prime,
     count_flags,
     fiber_count,
@@ -38,6 +40,7 @@ from oracles import (
     mul,
     quotient_type,
     rank,
+    right_pivots_by_rref,
     transpose,
 )
 
@@ -226,6 +229,43 @@ def test_kernel_quotient_tally_against_matrix_route():
                     assert budget.used == gaussian_binomial(len(lam), m)(p)
                     tallies += 1
     assert tallies == 272
+
+
+def test_right_pivots_against_reversed_rref():
+    # every k-subspace of F_p^m, by its echelon basis and by a shuffled
+    # basis padded with a zero row and a dependent row
+    rng = random.Random(5)
+    subspaces = 0
+    for p in (2, 3, 5):
+        for m in range(1, 6):
+            for k in range(m + 1):
+                for _, rows in _echelon_bases(m, k, p):
+                    expected = right_pivots_by_rref(rows, p)
+                    assert _right_pivots(rows, p) == expected, (rows, p)
+                    coeffs = [rng.randrange(p) for _ in rows]
+                    extra = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                                  for j in range(m))
+                    padded = list(rows) + [(0,) * m, extra]
+                    rng.shuffle(padded)
+                    assert _right_pivots(padded, p) == expected, (padded, p)
+                    subspaces += 1
+    assert subspaces == sum(
+        gaussian_binomial(m, k)(p) for p in (2, 3, 5) for m in range(1, 6) for k in range(m + 1))
+
+
+def test_right_pivots_of_zero_and_dependent_rows():
+    assert _right_pivots([], 3) == []
+    assert _right_pivots([(0, 0, 0), (0, 0, 0)], 3) == []
+    # equal, proportional and summed rows add no rank
+    assert _right_pivots([(1, 2, 0), (2, 1, 0), (1, 2, 0)], 3) == [1]
+    assert _right_pivots([(1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 0)], 3) == [2, 1]
+    rng = random.Random(8)
+    for p in (2, 3, 5):
+        for _ in range(300):
+            m = rng.randrange(1, 7)
+            rows = [tuple(rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(m))
+                    for _ in range(rng.randrange(1, 7))]
+            assert _right_pivots(rows, p) == right_pivots_by_rref(rows, p), (rows, p)
 
 
 def _inverse(m: FqMatrix) -> FqMatrix:

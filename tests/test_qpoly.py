@@ -80,6 +80,15 @@ class TestLaurentPoly:
         assert LaurentPoly({0: 0}) == 0
         assert hash(LaurentPoly({1: 1, 0: 1})) == hash(ONE + Q)
 
+    def test_constants_hash_as_their_int(self):
+        # a constant equals its int, so it must hash alike to serve as that key
+        assert hash(ONE) == hash(1)
+        assert hash(LaurentPoly()) == hash(0)
+        assert hash(LaurentPoly({0: -7})) == hash(-7)
+        assert len({ONE, 1}) == 1
+        assert {1: "x"}.get(ONE) == "x"
+        assert {0: "zero"}.get(LaurentPoly()) == "zero"
+
 
 class TestCharge:
     def test_reading_word_bottom_first(self):

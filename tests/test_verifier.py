@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from nilflag import verifier
+from nilflag import flaggeo, verifier
 from nilflag.combinatorics import (
     enumerate_dimvecs,
     enumerate_partitions,
     n_stat,
     orbit_dim,
 )
-from nilflag.flaggeo import fiber_polynomial
+from nilflag.flaggeo import Budget, fiber_polynomial
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
 from nilflag.verifier import (
     bootstrap_stalks,
@@ -66,6 +66,16 @@ class TestTraceIdentity:
         assert result.status == "pass"
         pairs = len(enumerate_partitions(3, 4)) * len(enumerate_dimvecs(3, 4))
         assert result.cases == pairs * 2
+
+    def test_numeric_six_six_enumerates_4247_subspaces(self):
+        # the enumeration's work at numeric (6,6), primes 2 and 3: the run's
+        # budget is charged for exactly the subspaces the tally walks
+        budget = Budget()
+        before = flaggeo.STATS["subspaces"]
+        result = verify_trace_identity(6, 6, mode="numeric", primes=[2, 3], budget=budget)
+        assert result.status == "pass"
+        assert budget.used == 4247
+        assert flaggeo.STATS["subspaces"] - before == 4247
 
     def test_character_side_once_per_weight_class(self, monkeypatch):
         calls = []
