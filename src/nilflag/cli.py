@@ -110,12 +110,6 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, separators=(",", ":")))
 
 
-def _parse_primes(text):
-    if text is None:
-        return None
-    return [int(x) for x in str(text).split(",")]
-
-
 def _dispatch(args) -> int:
     if args.command == "partitions":
         values = enumerate_partitions(args.n, args.d)
@@ -161,7 +155,7 @@ def _dispatch(args) -> int:
             args.n,
             args.d,
             mode=args.mode,
-            primes=_parse_primes(args.primes),
+            primes=None if args.primes is None else parse_parts(args.primes),
             convention=args.convention,
             budget=args.budget,
         )
@@ -187,10 +181,7 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _dispatch(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

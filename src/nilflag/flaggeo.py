@@ -17,7 +17,8 @@ enumerated; otherwise each U is enumerated in the kernel's own
 coordinates and the quotient type is read from the ranks of U against
 the subspaces ker a & im a^k, with no matrix built.  For the polynomial
 in q, the tally is its closed form, the vertical-strip Hall polynomials,
-and no field is needed.
+and no field is needed.  Both routes at p charge the Budget for each
+batch of subspaces, [m; k]_p, before _echelon_bases enumerates it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .qpoly import LaurentPoly, gaussian_binomial
 
 DEFAULT_BUDGET = 10**8
 
-# Running tally of canonical forms produced by subspace enumeration.
+# Subspaces enumerated by this process; Budget.charge adds each admitted batch.
 STATS = {"subspaces": 0}
 
 
@@ -49,12 +50,13 @@ class BudgetExceeded(RuntimeError):
 class Budget:
     """Caps the subspaces one run enumerates, and holds what they paid for.
 
-    A run is one fiber_count call given an int or None, or every call
-    sharing this Budget.  The memo p -> {(Jordan type, remaining jumps)
-    -> count} and the tally (Jordan type, first jump, p) -> ((quotient
-    type, multiplicity), ...) live here, so a count is reused only under
-    the budget that was charged for it and an outcome never depends on
-    what the process computed before.
+    A run is one fiber_count or fiber_count_brute call given an int or
+    None, or every call sharing this Budget; charge is the one place
+    where enumeration is paid for and counted.  The memo p -> {(Jordan
+    type, remaining jumps) -> count} and the tally (Jordan type, first
+    jump, p) -> ((quotient type, multiplicity), ...) live here, so a
+    count is reused only under the budget that was charged for it and an
+    outcome never depends on what the process computed before.
     """
 
     def __init__(self, limit: int | None = None):
@@ -65,11 +67,22 @@ class Budget:
         self.memo: dict[int, dict[tuple, int]] = {}
         self.tally: dict[tuple, tuple] = {}
 
-    def charge(self, amount: int = 1) -> None:
+    def charge(self, amount: int) -> None:
+        """Pay for a batch of amount subspaces before enumerating it."""
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceeded(
                 f"subspace budget exhausted ({self.used} > {self.limit})")
+        STATS["subspaces"] += amount
+
+
+def _named(lam, dimvec, p: int, count, *args, **kwargs) -> int:
+    """count(*args, **kwargs), whose refusal names the instance it counts."""
+    try:
+        return count(*args, **kwargs)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
 
 
 def _as_budget(budget) -> Budget:
@@ -206,8 +219,8 @@ class FqSubspace(NamedTuple):
         return not any(self.reduce(vec))
 
 
-def _echelon_bases(m: int, k: int, p: int, budget: Budget | None = None):
-    """Canonical RREF bases of all k-subspaces of F_p^m, one per subspace."""
+def _echelon_bases(m: int, k: int, p: int):
+    """Canonical RREF bases of the [m; k]_p k-subspaces of F_p^m, one each."""
     for pivot_cols in combinations(range(m), k):
         pivot_set = set(pivot_cols)
         free = [
@@ -217,9 +230,6 @@ def _echelon_bases(m: int, k: int, p: int, budget: Budget | None = None):
             if j > pivot_cols[i] and j not in pivot_set
         ]
         for values in product(range(p), repeat=len(free)):
-            if budget is not None:
-                budget.charge()
-            STATS["subspaces"] += 1
             rows = [[0] * m for _ in range(k)]
             for i, c in enumerate(pivot_cols):
                 rows[i][c] = 1
@@ -265,7 +275,8 @@ def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
     def extensions(v: FqSubspace, k: int):
         # one lift per subspace of the quotient ambient/v
         rest = [j for j in range(d) if j not in v.pivots]
-        for _, srows in _echelon_bases(len(rest), k, p, budget=bud):
+        bud.charge(gaussian_binomial(len(rest), k)(p))
+        for _, srows in _echelon_bases(len(rest), k, p):
             lifted = []
             for srow in srows:
                 vec = [0] * d
@@ -296,7 +307,7 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    return count_flags(_jordan_matrix(lam, p), dimvec, budget=budget)
+    return _named(lam, dimvec, p, count_flags, _jordan_matrix(lam, p), dimvec, budget=budget)
 
 
 def _right_pivots(rows, p: int) -> list[int]:
@@ -418,11 +429,7 @@ def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> i
             return (((1,) * (d - d1), gaussian_binomial(d, d1)(p)),)
         return _kernel_quotient_tally(lam, d1, p, budget)
 
-    try:
-        return _flag_sum(lam, dimvec, tally, budget.memo.setdefault(p, {}))
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
+    return _named(lam, dimvec, p, _flag_sum, lam, dimvec, tally, budget.memo.setdefault(p, {}))
 
 
 @cache

@@ -35,19 +35,8 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        data: dict[int, int] = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, c in items:
-                c = int(c)
-                if c:
-                    e = int(e)
-                    merged = data.get(e, 0) + c
-                    if merged:
-                        data[e] = merged
-                    else:
-                        data.pop(e, None)
-        self._c = data
+        # coeffs maps exponent -> coefficient; zero coefficients are dropped
+        self._c = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

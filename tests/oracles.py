@@ -17,12 +17,20 @@ package's intersection-rank tally with it.  The F_p matrix and subspace
 operations that route needs (products, ranks, kernels, Jordan types,
 containment) live here too, as the package itself never calls them.
 
+lusztig_kostka_foulkes is Lusztig's q-analogue of weight multiplicity,
+K_{lam,mu}(q) = sum over w in S_n of sgn(w) P_q(w(lam+rho) - (mu+rho)),
+with P_q the type A q-Kostant partition function (Lusztig, "Singularities,
+character formulas, and a q-analog of weight multiplicities", 1983).  The
+tests compare it with the charge route, nilflag.qpoly.kostka_foulkes.
+
 right_pivots_by_rref reads the columns where the rank of a row list's
 coordinates c.. grows from the reduced row echelon form of the reversed
 rows, the route the tally took before its right-to-left elimination.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 
 from nilflag.combinatorics import (
     Partition,
@@ -259,3 +267,51 @@ def quotient_type(a: FqMatrix, v: FqSubspace) -> Partition:
             raise ValueError("subspace is not annihilated by the matrix")
     acols = tuple(a.column(j) for j in range(a.ncols))
     return _induced_type(acols, v.pivots, v.rows, a.ncols, a.p)
+
+
+@cache
+def _kostant(beta: tuple[int, ...]) -> LaurentPoly:
+    """q-Kostant partition function of beta in the type A root lattice.
+
+    The coefficient of q^k counts the ways to write beta as a sum of k
+    positive roots e_i - e_j (i < j), with repetition.  Every root
+    e_1 - e_j adds one to beta_1, so the roots from e_1 number beta_1;
+    they are spread over j = 2.. and the rest is a problem one rank lower.
+    """
+    first, rest = beta[0], beta[1:]
+    if not rest:
+        return LaurentPoly({0: 1}) if first == 0 else LaurentPoly()
+    total = LaurentPoly()
+    if first >= 0:
+        for spread in _compositions(first, len(rest)):
+            total = total + _kostant(tuple(b + c for b, c in zip(rest, spread)))
+    return total.shift(first)
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _sign(perm) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+    return -1 if inversions % 2 else 1
+
+
+def lusztig_kostka_foulkes(lam, mu) -> LaurentPoly:
+    """K_{lam,mu}(q) as an alternating sum of q-Kostant partition functions."""
+    n = max(len(lam), len(mu))
+
+    def plus_rho(part):
+        return [x + n - 1 - i for i, x in enumerate(tuple(part) + (0,) * (n - len(part)))]
+
+    lam_rho, mu_rho = plus_rho(lam), plus_rho(mu)
+    total = LaurentPoly()
+    for perm in permutations(range(n)):
+        beta = tuple(lam_rho[j] - m for j, m in zip(perm, mu_rho))
+        total = total + _kostant(beta) * _sign(perm)
+    return total

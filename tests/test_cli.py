@@ -174,6 +174,30 @@ def test_budget_exhaustion_exits_2(capsys):
     assert "budget must be non-negative" in captured.err
 
 
+def test_brute_refusal_names_the_instance(capsys):
+    # the brute route enumerates 65 subspaces for this instance
+    argv = ["fiber-count", "--lambda", "1,1,1", "--dimvec", "1,1,1", "--q", "3", "--brute"]
+    code = run(argv + ["--budget", "64"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "error: subspace budget exhausted (65 > 64) "
+        "counting lambda=[1, 1, 1], dimvec=[1, 1, 1], q=3\n")
+    code, payload = run_json(capsys, *argv, "--budget", "65")
+    assert code == EXIT_OK
+    assert payload == {"count": 52}
+
+
+@pytest.mark.parametrize("primes", ["2,x", ""])
+def test_malformed_primes_exit_2(capsys, primes):
+    code = run(["verify", "--n", "2", "--d", "3", "--primes", primes])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: not a comma-separated integer list: {primes!r}\n"
+
+
 def test_duplicate_primes_exit_2(capsys):
     code = run(["verify", "--n", "2", "--d", "3", "--mode", "numeric", "--primes", "2,2"])
     captured = capsys.readouterr()
@@ -198,6 +222,15 @@ def test_pretty_flag(capsys):
     assert code == EXIT_OK
     assert out.startswith("{\n")
     assert json.loads(out) == {"kostka": 2}
+
+
+def test_verify_pretty_flag(capsys):
+    code = run(["verify", "--n", "2", "--d", "2", "--pretty"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.startswith("{\n")
+    compact = run_json(capsys, "verify", "--n", "2", "--d", "2")[1]
+    assert json.loads(out) == compact
 
 
 def test_round_trip_of_partition_output(capsys):

@@ -1,9 +1,11 @@
 import random
+import re
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from nilflag import flaggeo
 from nilflag.combinatorics import (
     conjugate,
     enumerate_dimvecs,
@@ -30,6 +32,7 @@ from nilflag.flaggeo import (
 )
 from nilflag.qpoly import LaurentPoly, gaussian_binomial
 from oracles import (
+    _induced_type,
     contains,
     enumerate_subspaces,
     full_space,
@@ -213,18 +216,22 @@ def test_quotient_type_against_rank_oracle():
 
 
 def test_kernel_quotient_tally_against_matrix_route():
-    # the intersection-rank tally against quotient_type over the kernel's
-    # subspaces lifted to ambient coordinates
+    # the intersection-rank tally against the induced type on the quotient
+    # by each of the kernel's subspaces, lifted to ambient coordinates
     tallies = 0
     for d in range(1, 7):
         for lam in enumerate_partitions(d, d):
             for p in (2, 3) if d == 6 else (2, 3, 5):
                 a = jordan_matrix(lam, p)
                 ker = kernel_subspace(a)
+                # a kills the kernel's basis, so it kills every subspace below
+                assert all(not any(a.apply(row)) for row in ker.rows)
+                acols = tuple(a.column(j) for j in range(d))
                 for m in range(len(lam) + 1):
                     budget = Budget()
                     tally = _kernel_quotient_tally(lam, m, p, budget)
-                    oracle = Counter(quotient_type(a, v) for v in enumerate_subspaces(ker, m))
+                    oracle = Counter(_induced_type(acols, v.pivots, v.rows, d, p)
+                                     for v in enumerate_subspaces(ker, m))
                     assert dict(tally) == oracle, (lam, m, p)
                     assert budget.used == gaussian_binomial(len(lam), m)(p)
                     tallies += 1
@@ -405,6 +412,39 @@ def test_fiber_polynomial_validation():
         fiber_polynomial((2, 1), (1, 1))
     with pytest.raises(ValueError):
         fiber_polynomial((1, 2), (2, 1))
+
+
+# (lam, dimvec, p, count, T): T is the number of subspaces the brute
+# route enumerates with no budget limit
+BRUTE_THRESHOLDS = [
+    ((1, 1, 1), (1, 1, 1), 3, 52, 65),
+    ((2, 1), (1, 1, 1), 2, 5, 16),
+    ((2, 1, 1), (2, 1, 1), 2, 13, 56),
+    ((2, 2), (2, 2), 3, 1, 130),
+    ((1, 1, 1, 1), (2, 2), 2, 35, 35),
+    ((2, 1, 1), (1, 1, 1, 1), 2, 51, 139),
+]
+
+
+@pytest.mark.parametrize("lam, dv, p, count, total", BRUTE_THRESHOLDS)
+def test_brute_refuses_just_below_its_total_and_names_the_instance(lam, dv, p, count, total):
+    budget = Budget()
+    before = flaggeo.STATS["subspaces"]
+    assert fiber_count_brute(lam, dv, p, budget=budget) == count
+    assert budget.used == flaggeo.STATS["subspaces"] - before == total
+    assert fiber_count_brute(lam, dv, p, budget=total) == count
+    instance = f"counting lambda={list(lam)}, dimvec={list(dv)}, q={p}"
+    with pytest.raises(BudgetExceeded, match=re.escape(instance) + "$"):
+        fiber_count_brute(lam, dv, p, budget=total - 1)
+
+
+def test_charge_counts_only_admitted_batches():
+    budget = Budget(5)
+    before = flaggeo.STATS["subspaces"]
+    budget.charge(3)
+    with pytest.raises(BudgetExceeded, match=r"\(7 > 5\)$"):
+        budget.charge(4)
+    assert flaggeo.STATS["subspaces"] - before == 3
 
 
 def test_budget_refusal():

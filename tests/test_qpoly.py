@@ -18,7 +18,7 @@ from nilflag.qpoly import (
     reading_word,
     word_charge,
 )
-from oracles import InterpolationError, interpolate
+from oracles import InterpolationError, interpolate, lusztig_kostka_foulkes
 
 Q = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})
@@ -171,6 +171,18 @@ class TestKostkaFoulkes:
                     if not kf.is_zero:
                         assert kf.degree() == n_stat(weight) - n_stat(shape)
                         assert kf.items()[0] == (kf.degree(), 1)  # monic
+
+    def test_against_lusztig_q_analogue(self):
+        # the charge route against the alternating sum of q-Kostant
+        # partition functions, on every pair of partitions of d <= 6
+        pairs = 0
+        for d in range(1, 7):
+            parts = enumerate_partitions(d, d)
+            for lam in parts:
+                for mu in parts:
+                    assert kostka_foulkes(lam, mu) == lusztig_kostka_foulkes(lam, mu), (lam, mu)
+                    pairs += 1
+        assert pairs == 209
 
     def test_weight_must_be_partition(self):
         with pytest.raises(ValueError):

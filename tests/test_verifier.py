@@ -4,10 +4,13 @@ import pytest
 
 from nilflag import flaggeo, verifier
 from nilflag.combinatorics import (
+    conjugate,
     enumerate_dimvecs,
     enumerate_partitions,
+    flag_dim,
     n_stat,
     orbit_dim,
+    sorted_weight,
 )
 from nilflag.flaggeo import Budget, fiber_polynomial
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
@@ -230,3 +233,124 @@ class TestSuite:
             run_suite(2, 2, mode="exact")
         with pytest.raises(ValueError):
             run_suite(2, 2, convention="mirror")
+
+
+def _failed(result, keys):
+    """The witnesses of a failed check, each with exactly the given keys."""
+    assert result.status == "fail", result.name
+    assert result.witnesses
+    for w in result.witnesses:
+        assert set(w) == set(keys), w
+    return result.witnesses
+
+
+class TestFailureBranches:
+    """Each check reports a witness when one side is made wrong."""
+
+    def test_semismall_and_top_components(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_fiber_poly", lambda lam, dv: LaurentPoly.q_power(100))
+        result = verify_semismall(2, 3)
+        witnesses = _failed(result, {"lambda", "dimvec", "degree", "bound"})
+        assert len(witnesses) == result.cases
+        assert all(w["degree"] == 100 for w in witnesses)
+        witnesses = _failed(verify_top_components(2, 3),
+                            {"lambda", "dimvec", "degree", "left", "right"})
+        assert all(w["left"] == 0 != w["right"] for w in witnesses)
+
+    def test_stalk_hypothesis(self, monkeypatch):
+        table = bootstrap_stalks(2, 3)
+        real = verifier._modified_kostka_foulkes
+        monkeypatch.setattr(verifier, "_modified_kostka_foulkes",
+                            lambda P, lam: real(P, lam) + 1)
+        result = verify_stalk_hypothesis(table)
+        witnesses = _failed(result, {"orbit", "lambda", "left", "right"})
+        assert len(witnesses) == result.cases == len(table.entries)
+
+    def test_stalk_bootstrap_support_and_normalization(self, monkeypatch):
+        # counts that make every stalk trace t_P(lam) equal to 1
+        n, d = 2, 2
+        parts = enumerate_partitions(n, d)
+
+        def fake(lam, dv):
+            weight = sorted_weight(dv)
+            total = sum(verifier._kostka(conjugate(P), weight) for P in parts)
+            return LaurentPoly.q_power(flag_dim(dv), total)
+
+        monkeypatch.setattr(verifier, "_fiber_poly", fake)
+        check, table = verify_stalk_bootstrap(n, d)
+        assert all(v == 1 for v in table.entries.values())
+        witnesses = _failed(check, {"orbit", "lambda", "value", "reason"})
+        support = [(w["orbit"], w["lambda"]) for w in witnesses
+                   if w["reason"] == "support outside the dominance order"]
+        assert support == [([1, 1], [2])]
+        normalization = [w["orbit"] for w in witnesses
+                         if w["reason"] == "normalization should be q^-1"]
+        assert normalization == [[2]]
+        assert len(witnesses) == 2
+
+    def test_inconsistent_stalk_system_skips_the_hypothesis(self, monkeypatch):
+        # (0,2) is no pivot row of the (2,2) system, so changing its count
+        # leaves the solved table unable to predict it
+        real = verifier._fiber_poly
+        monkeypatch.setattr(verifier, "_fiber_poly",
+                            lambda lam, dv: real(lam, dv) + (dv == (0, 2)))
+        check, table = verify_stalk_bootstrap(2, 2)
+        assert table is None and check.cases == 0
+        [witness] = _failed(check, {"error"})
+        assert "stalk system inconsistent" in witness["error"]
+        status = {c.name: c.status for c in run_suite(2, 2).checks}
+        assert status["stalk_bootstrap"] == "fail"
+        assert status["stalk_hypothesis"] == "skipped"
+
+    def test_guarded_error_witness(self, monkeypatch):
+        def broken(lam, dv):
+            raise ValueError("no polynomial")
+
+        monkeypatch.setattr(verifier, "_fiber_poly", broken)
+        report = run_suite(2, 2)
+        assert not report.ok
+        checks = {c.name: c for c in report.checks}
+        for name in ("trace_identity", "semismall", "top_components"):
+            assert _failed(checks[name], {"error"}) == [{"error": "no polynomial"}]
+            assert checks[name].cases == 0
+        assert checks["stalk_hypothesis"].status == "skipped"
+        assert checks["schur_weyl"].status == checks["young_rule"].status == "pass"
+
+    def test_schur_weyl_weight_sum(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_kostka", lambda shape, weight: 0)
+        witnesses = _failed(verify_schur_weyl(2, 3), {"lambda", "left", "right", "reason"})
+        assert len(witnesses) == len(enumerate_partitions(2, 3))
+        assert all(w["right"] == 0 for w in witnesses)
+
+    def test_schur_weyl_tensor_power(self, monkeypatch):
+        real = verifier.schur_dim
+        monkeypatch.setattr(verifier, "schur_dim", lambda shape, n: real(shape, n) + 1)
+        result = verify_schur_weyl(2, 3)
+        assert result.status == "fail"
+        [total] = [w for w in result.witnesses if "lambda" not in w]
+        assert total == {"left": 8 + 1 + 2, "right": 8,
+                         "reason": "tensor-power dimension sum"}
+
+    def test_young_rule(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_kostka", lambda P, Q: 2)
+        result = verify_young_rule(3)
+        assert result.status == "fail"
+        diagonal = [w for w in result.witnesses if "coarser" not in w]
+        assert diagonal and all(set(w) == {"lambda", "left", "right"} and w["left"] == 2
+                                for w in diagonal)
+        refining = [w for w in result.witnesses if "coarser" in w]
+        assert refining and all(set(w) == {"lambda", "coarser", "left", "right"}
+                                and w["right"] == 0 for w in refining)
+
+    @pytest.mark.parametrize("mode", ["polynomial", "numeric"])
+    def test_trace_identity_count_witness(self, monkeypatch, mode):
+        # a character side one too big; in polynomial mode the fiber
+        # polynomials agree with it, so only the counts at the primes differ
+        real = verifier._modified_kostka_foulkes
+        monkeypatch.setattr(verifier, "_modified_kostka_foulkes",
+                            lambda P, lam: real(P, lam) + 1)
+        monkeypatch.setattr(verifier, "_fiber_poly",
+                            lambda lam, dv: verifier.trace_identity_rhs(2, 2, lam, dv))
+        result = verify_trace_identity(2, 2, mode=mode, primes=[2, 3])
+        witnesses = _failed(result, {"lambda", "dimvec", "q", "left", "right"})
+        assert {w["q"] for w in witnesses} == {2, 3}
