@@ -1,7 +1,9 @@
 """Command-line front end: single queries, verification suites, reports.
 
-All machine output is JSON on stdout; --pretty switches to indented
-form.  Exit codes: 0 all checks pass, 1 verification failure, 2 usage or
+This is the program's only output layer.  Each subcommand is one parser
+bound to one handler, which returns a JSON-ready payload and an exit
+code; run prints the payload once, compact unless --pretty is given.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage or
 resource error.  Nothing is read from the environment or kept between
 runs: every count is made afresh by the run that reports it.
 """
@@ -33,58 +35,107 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _cmd_partitions(args):
+    return {"partitions": [list(p) for p in enumerate_partitions(args.n, args.d)]}, EXIT_OK
+
+
+def _cmd_dimvecs(args):
+    return {"dimvecs": [list(v) for v in enumerate_dimvecs(args.n, args.d)]}, EXIT_OK
+
+
+def _cmd_kostka(args):
+    shape, weight = parse_parts(args.shape), parse_parts(args.weight)
+    return {"kostka": kostka_number(shape, weight)}, EXIT_OK
+
+
+def _cmd_kostka_foulkes(args):
+    shape, weight = parse_parts(args.shape), parse_parts(args.weight)
+    return {"poly": kostka_foulkes(shape, weight).to_text()}, EXIT_OK
+
+
+def _cmd_fiber_count(args):
+    lam, dv = parse_parts(args.lam), parse_parts(args.dimvec)
+    route = fiber_count_brute if args.brute else fiber_count
+    return {"count": route(lam, dv, args.q, budget=args.budget)}, EXIT_OK
+
+
+def _cmd_fiber_poly(args):
+    poly = fiber_polynomial(parse_parts(args.lam), parse_parts(args.dimvec))
+    return {"poly": poly.to_text()}, EXIT_OK
+
+
+def _cmd_bootstrap(args):
+    stalks: dict[str, dict[str, str]] = {}
+    for (orbit, lam), poly in sorted(bootstrap_stalks(args.n, args.d).items()):
+        stalks.setdefault(format_parts(orbit), {})[format_parts(lam)] = poly.to_text()
+    return {"n": args.n, "d": args.d, "stalks": stalks}, EXIT_OK
+
+
+def _cmd_verify(args):
+    report = run_suite(
+        args.n,
+        args.d,
+        mode=args.mode,
+        primes=None if args.primes is None else parse_parts(args.primes),
+        convention=args.convention,
+        budget=args.budget,
+    )
+    payload = report.as_dict()
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(_dumps(payload, False) + "\n")
+    return payload, EXIT_OK if report.ok else EXIT_FAIL
+
+
+def _cmd_schur_weyl(args):
+    result = verify_schur_weyl(args.n, args.d)
+    return result.as_dict(), EXIT_OK if result.status == "pass" else EXIT_FAIL
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilflag",
         description="Exact flag-count identities for nilpotent matrices over prime fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    sized = argparse.ArgumentParser(add_help=False, parents=[pretty])
+    sized.add_argument("--n", type=int, required=True)
+    sized.add_argument("--d", type=int, required=True)
 
-    def add_pretty(p):
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    def command(name, handler, help, parent=pretty):
+        p = sub.add_parser(name, help=help, parents=[parent])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("partitions", help="partitions of d with parts at most n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_pretty(p)
+    command("partitions", _cmd_partitions, "partitions of d with parts at most n", sized)
 
-    p = sub.add_parser("dimvecs", help="n-tuples of non-negative integers summing to d")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_pretty(p)
+    command("dimvecs", _cmd_dimvecs, "n-tuples of non-negative integers summing to d", sized)
 
-    p = sub.add_parser("kostka", help="semistandard tableau count")
+    p = command("kostka", _cmd_kostka, "semistandard tableau count")
     p.add_argument("--shape", required=True, help='partition, e.g. "2,1"')
     p.add_argument("--weight", required=True, help='composition, e.g. "1,1,1"')
-    add_pretty(p)
 
-    p = sub.add_parser("kostka-foulkes", help="charge generating polynomial")
+    p = command("kostka-foulkes", _cmd_kostka_foulkes, "charge generating polynomial")
     p.add_argument("--shape", required=True)
     p.add_argument("--weight", required=True, help="partition weight")
-    add_pretty(p)
 
-    p = sub.add_parser("fiber-count", help="count flags compatible with a nilpotent")
+    p = command("fiber-count", _cmd_fiber_count, "count flags compatible with a nilpotent")
     p.add_argument("--lambda", dest="lam", required=True, help="Jordan type")
     p.add_argument("--dimvec", required=True, help="flag jump vector")
     p.add_argument("--q", type=int, required=True, help="prime field size")
     p.add_argument("--brute", action="store_true", help="use the enumeration oracle")
     p.add_argument("--budget", type=int, default=None)
-    add_pretty(p)
 
-    p = sub.add_parser(
-        "fiber-poly", help="count polynomial from the vertical-strip Hall recursion")
+    p = command(
+        "fiber-poly", _cmd_fiber_poly, "count polynomial from the vertical-strip Hall recursion")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--dimvec", required=True)
-    add_pretty(p)
 
-    p = sub.add_parser("bootstrap", help="solve the stalk-trace linear systems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_pretty(p)
+    command("bootstrap", _cmd_bootstrap, "solve the stalk-trace linear systems", sized)
 
-    p = sub.add_parser("verify", help="run the full identity suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = command("verify", _cmd_verify, "run the full identity suite", sized)
     p.add_argument("--mode", choices=("polynomial", "numeric"), default="polynomial")
     p.add_argument(
         "--primes", default=None,
@@ -93,94 +144,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--convention", choices=("standard", "literal-paper"), default="standard")
     p.add_argument("--report", default=None, help="also write the report to this path")
     p.add_argument("--budget", type=int, default=None)
-    add_pretty(p)
 
-    p = sub.add_parser("schur-weyl", help="tensor-power dimension identity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_pretty(p)
+    command("schur-weyl", _cmd_schur_weyl, "tensor-power dimension identity", sized)
 
     return parser
 
 
-def _emit(payload: dict, pretty: bool) -> None:
+def _dumps(payload: dict, pretty: bool) -> str:
     if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload, separators=(",", ":")))
-
-
-def _dispatch(args) -> int:
-    if args.command == "partitions":
-        values = enumerate_partitions(args.n, args.d)
-        _emit({"partitions": [list(p) for p in values]}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "dimvecs":
-        values = enumerate_dimvecs(args.n, args.d)
-        _emit({"dimvecs": [list(v) for v in values]}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "kostka":
-        shape, weight = parse_parts(args.shape), parse_parts(args.weight)
-        _emit({"kostka": kostka_number(shape, weight)}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "kostka-foulkes":
-        shape, weight = parse_parts(args.shape), parse_parts(args.weight)
-        _emit({"poly": kostka_foulkes(shape, weight).to_text()}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "fiber-count":
-        lam, dv = parse_parts(args.lam), parse_parts(args.dimvec)
-        route = fiber_count_brute if args.brute else fiber_count
-        _emit({"count": route(lam, dv, args.q, budget=args.budget)}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "fiber-poly":
-        poly = fiber_polynomial(parse_parts(args.lam), parse_parts(args.dimvec))
-        _emit({"poly": poly.to_text()}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "bootstrap":
-        table = bootstrap_stalks(args.n, args.d)
-        stalks: dict[str, dict[str, str]] = {}
-        for (orbit, lam), poly in sorted(table.entries.items()):
-            stalks.setdefault(format_parts(orbit), {})[format_parts(lam)] = poly.to_text()
-        _emit({"n": args.n, "d": args.d, "stalks": stalks}, args.pretty)
-        return EXIT_OK
-
-    if args.command == "verify":
-        report = run_suite(
-            args.n,
-            args.d,
-            mode=args.mode,
-            primes=None if args.primes is None else parse_parts(args.primes),
-            convention=args.convention,
-            budget=args.budget,
-        )
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-        print(report.to_json(pretty=args.pretty))
-        return EXIT_OK if report.ok else EXIT_FAIL
-
-    if args.command == "schur-weyl":
-        result = verify_schur_weyl(args.n, args.d)
-        _emit(result.as_dict(), args.pretty)
-        return EXIT_OK if result.status == "pass" else EXIT_FAIL
-
-    raise ValueError(f"unknown command {args.command!r}")
+        return json.dumps(payload, indent=2)
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _dispatch(args)
+        payload, code = args.handler(args)
+        print(_dumps(payload, args.pretty))
+        return code
     except (BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

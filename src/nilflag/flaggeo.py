@@ -76,13 +76,16 @@ class Budget:
         STATS["subspaces"] += amount
 
 
-def _named(lam, dimvec, p: int, count, *args, **kwargs) -> int:
-    """count(*args, **kwargs), whose refusal names the instance it counts."""
+def _named(lam, dimvec, p: int, count, *args) -> int:
+    """count(*args), whose refusal names the instance it counts: its Jordan
+    type lam, left out when None (an operator given as a matrix), its
+    dimension vector and its prime."""
     try:
-        return count(*args, **kwargs)
+        return count(*args)
     except BudgetExceeded as exc:
+        jordan = "" if lam is None else f"lambda={list(lam)}, "
         raise BudgetExceeded(
-            f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
+            f"{exc} counting {jordan}dimvec={list(dimvec)}, q={p}") from None
 
 
 def _as_budget(budget) -> Budget:
@@ -266,7 +269,11 @@ def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
         raise ValueError("count_flags needs a square matrix")
     if sum(dims) != a.nrows:
         raise ValueError("dimension vector total and matrix size differ")
-    bud = _as_budget(budget)
+    return _named(None, dims, a.p, _count_flags, a, dims, _as_budget(budget))
+
+
+def _count_flags(a: FqMatrix, dims: DimVector, bud: Budget) -> int:
+    """The count of count_flags for a valid instance."""
     p = a.p
     d = a.nrows
     acols = [a.column(j) for j in range(d)]
@@ -307,7 +314,7 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    return _named(lam, dimvec, p, count_flags, _jordan_matrix(lam, p), dimvec, budget=budget)
+    return _named(lam, dimvec, p, _count_flags, _jordan_matrix(lam, p), dimvec, _as_budget(budget))
 
 
 def _right_pivots(rows, p: int) -> list[int]:

@@ -202,14 +202,13 @@ def word_charge(word) -> int:
     w = [int(x) for x in word]
     if not w:
         return 0
+    if min(w) < 1:
+        raise ValueError(f"word letters must be positive: {tuple(w)}")
     counts = Counter(w)
-    biggest_letter = max(counts)
-    multiplicities = [counts.get(v, 0) for v in range(1, biggest_letter + 1)]
+    multiplicities = [counts.get(v, 0) for v in range(1, max(counts) + 1)]
     for a, b in zip(multiplicities, multiplicities[1:]):
         if a < b:
             raise ValueError(f"word content is not a partition: {multiplicities}")
-    if 0 in multiplicities:
-        raise ValueError(f"word content is not a partition: {multiplicities}")
 
     total = 0
     while w:

@@ -1,4 +1,4 @@
-"""Executable identity suites over the flag-count data, with JSON reports.
+"""Executable identity suites over the flag-count data, as plain data.
 
 Each check compares two independently computed sides of an exact
 identity: fiber-count polynomials from the vertical-strip Hall
@@ -8,12 +8,12 @@ counted by enumeration over F_q: numeric mode compares those counts with
 the character side, and polynomial mode checks the fiber polynomials
 against them.  Every check returns a CheckResult with pass/fail/skipped
 status and failure witnesses; a VerificationReport bundles them with the
-run parameters.
+run parameters.  Both turn into plain dicts with as_dict; writing them
+as JSON is the command line's job.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -81,25 +81,8 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def to_json(self, pretty: bool = False) -> str:
-        payload = {
-            "params": self.params,
-            "checks": [c.as_dict() for c in self.checks],
-        }
-        if pretty:
-            return json.dumps(payload, indent=2)
-        return json.dumps(payload, separators=(",", ":"))
-
-
-class StalkTable(NamedTuple):
-    """Solved stalk traces t_P(lam), one Laurent polynomial per pair."""
-
-    n: int
-    d: int
-    entries: dict[tuple[Partition, Partition], LaurentPoly]
-
-    def get(self, orbit, point_type) -> LaurentPoly:
-        return self.entries[(tuple(orbit), tuple(point_type))]
+    def as_dict(self) -> dict:
+        return {"params": self.params, "checks": [c.as_dict() for c in self.checks]}
 
 
 def _check_convention(convention: str) -> None:
@@ -224,8 +207,8 @@ def verify_trace_identity(
     return CheckResult("trace_identity", cases, witnesses)
 
 
-def bootstrap_stalks(n: int, d: int) -> StalkTable:
-    """Solve for the stalk traces from normalized fiber polynomials.
+def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], LaurentPoly]:
+    """The stalk traces {(P, lam): t_P(lam)}, solved from normalized fiber polynomials.
 
     For each lam, the equations over all dimension vectors dv read
     q^(-flag_dim(dv)) * fiber_polynomial(lam, dv) =
@@ -240,7 +223,7 @@ def bootstrap_stalks(n: int, d: int) -> StalkTable:
     order = sorted(parts, key=lambda P: mus[P], reverse=True)
     weights = [(dv, sorted_weight(dv)) for dv in enumerate_dimvecs(n, d)]
 
-    entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
+    table: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
 
         def normalized(dv) -> LaurentPoly:
@@ -266,11 +249,11 @@ def bootstrap_stalks(n: int, d: int) -> StalkTable:
                     f"stalk system inconsistent at lam={lam}, dv={dv}: "
                     f"{predicted.to_text()} != {normalized(dv).to_text()}")
         for P in parts:
-            entries[(P, lam)] = solved[P]
-    return StalkTable(n, d, entries)
+            table[P, lam] = solved[P]
+    return table
 
 
-def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, StalkTable | None]:
+def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, dict | None]:
     """Solve the stalk systems and validate the table invariants.
 
     Invariants: t_P(lam) vanishes unless P dominates lam, and
@@ -286,7 +269,7 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, StalkTable | No
     cases += len(parts) * len(enumerate_dimvecs(n, d))  # consistency equations
     for P in parts:
         for lam in parts:
-            entry = table.entries[(P, lam)]
+            entry = table[P, lam]
             cases += 1
             if not _dominates(P, lam) and not entry.is_zero:
                 witnesses.append({
@@ -297,27 +280,27 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, StalkTable | No
                 })
         cases += 1
         expected = LaurentPoly.q_power(-(orbit_dim(P) // 2))
-        if table.entries[(P, P)] != expected:
+        if table[P, P] != expected:
             witnesses.append({
                 "orbit": list(P),
                 "lambda": list(P),
-                "value": table.entries[(P, P)].to_text(),
+                "value": table[P, P].to_text(),
                 "reason": f"normalization should be {expected.to_text()}",
             })
     return CheckResult("stalk_bootstrap", cases, witnesses), table
 
 
-def verify_stalk_hypothesis(table: StalkTable) -> CheckResult:
+def verify_stalk_hypothesis(table: dict) -> CheckResult:
     """Compare solved stalk traces with the modified charge polynomials.
 
-    Claim: t_P(lam) = q^(-n_stat(1^d)) * modified_kostka_foulkes(P, lam).
+    Claim: t_P(lam) = q^(-n_stat(1^d)) * modified_kostka_foulkes(P, lam),
+    with d = |P|.
     """
-    shift = -n_stat((1,) * table.d)
     witnesses: list[dict] = []
     cases = 0
-    for (P, lam), value in table.entries.items():
+    for (P, lam), value in table.items():
         cases += 1
-        expected = _modified_kostka_foulkes(P, lam).shift(shift)
+        expected = _modified_kostka_foulkes(P, lam).shift(-n_stat((1,) * sum(P)))
         if value != expected:
             witnesses.append({
                 "orbit": list(P),

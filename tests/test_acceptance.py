@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from nilflag import cli
 from nilflag.combinatorics import (
     conjugate,
     enumerate_dimvecs,
@@ -223,11 +224,14 @@ def test_criterion_09_convention_guard():
     )
 
 
-def test_criterion_10_deterministic_reports():
-    first = run_suite(2, 3).to_json()
-    second = run_suite(2, 3).to_json()
-    numeric_first = run_suite(2, 4, mode="numeric").to_json()
-    numeric_second = run_suite(2, 4, mode="numeric").to_json()
+def test_criterion_10_deterministic_reports(capsys):
+    def printed(*argv):
+        assert cli.run(["verify", *argv]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    first, second = printed("--n", "2", "--d", "3"), printed("--n", "2", "--d", "3")
+    numeric = ["--n", "2", "--d", "4", "--mode", "numeric"]
+    numeric_first, numeric_second = printed(*numeric), printed(*numeric)
     ok = first == second and numeric_first == numeric_second
     _criterion(10, "consecutive verify runs are byte-identical", ok)
 

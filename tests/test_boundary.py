@@ -21,7 +21,7 @@ MALFORMED = {
         lambda c: c.span([(1, 0)], BAD_PRIME),
         lambda c: c.zero(2, BAD_PRIME),
     ],
-    "charge": [lambda f: f(((2,), (3,)))],
+    "charge": [lambda f: f(((2,), (3,))), lambda f: f(((0, 1),))],
     "count_flags": [lambda f: f(nilflag.jordan_matrix((2, 1), 2), BAD_DIMVEC)],
     "dominates": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
     "enumerate_ssyt": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
@@ -51,7 +51,25 @@ MALFORMED = {
         lambda f: f(3, 3, (2, 1), BAD_DIMVEC),
     ],
     "verify_trace_identity": [lambda f: f(2, 3, mode="numeric", primes=[BAD_PRIME])],
-    "word_charge": [lambda f: f((1, 3))],
+    "word_charge": [lambda f: f((1, 3)), lambda f: f((0, 1)), lambda f: f((-1, 1))],
+}
+
+# other malformed input that the boundary rejects, one call each
+REJECTED = {
+    "nilcone_dim n=0": lambda: nilflag.nilcone_dim(0, 2),
+    "enumerate_dimvecs n=0": lambda: nilflag.enumerate_dimvecs(0, 2),
+    "enumerate_ssyt sizes differ": lambda: nilflag.enumerate_ssyt((2, 1), (1, 1)),
+    "schur_dim n=0": lambda: nilflag.schur_dim((2, 1), 0),
+    "span of no rows": lambda: nilflag.FqSubspace.span([], 2),
+    "span of ragged rows": lambda: nilflag.FqSubspace.span([(1, 0), (1,)], 2),
+    "count_flags non-square": lambda: nilflag.count_flags(
+        nilflag.FqMatrix.build([[0, 1, 0], [0, 0, 1]], 2), (1, 1)),
+    "count_flags total": lambda: nilflag.count_flags(
+        nilflag.jordan_matrix((2, 1), 2), (1, 1)),
+    "fiber_count_brute sizes differ": lambda: nilflag.fiber_count_brute((2, 1), (1, 1), 2),
+    "modified_kostka_foulkes sizes differ": lambda: nilflag.modified_kostka_foulkes(
+        (2, 1), (2,)),
+    "verify_trace_identity mode": lambda: nilflag.verify_trace_identity(2, 2, mode="exact"),
 }
 
 # exported names that take none of the three
@@ -75,6 +93,12 @@ def test_exports_reject_malformed_input(name):
     for call in MALFORMED[name]:
         with pytest.raises(ValueError):
             call(getattr(nilflag, name))
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_boundary_rejects(case):
+    with pytest.raises(ValueError):
+        REJECTED[case]()
 
 
 def test_no_input_checks_per_case(monkeypatch):

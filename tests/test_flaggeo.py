@@ -447,6 +447,14 @@ def test_charge_counts_only_admitted_batches():
     assert flaggeo.STATS["subspaces"] - before == 3
 
 
+def test_count_flags_refusal_names_its_instance():
+    # a matrix carries no Jordan type: the refusal names the jumps and the prime
+    with pytest.raises(BudgetExceeded) as refusal:
+        count_flags(jordan_matrix((1, 1, 1), 3), (1, 1, 1), budget=3)
+    assert str(refusal.value) == (
+        "subspace budget exhausted (13 > 3) counting dimvec=[1, 1, 1], q=3")
+
+
 def test_budget_refusal():
     with pytest.raises(BudgetExceeded):
         fiber_count((2, 1, 1), (1, 1, 1, 1), 3, budget=5)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilflag import flaggeo, verifier
+from nilflag import cli, flaggeo, verifier
 from nilflag.combinatorics import (
     conjugate,
     enumerate_dimvecs,
@@ -109,16 +109,16 @@ class TestTraceIdentity:
 class TestBootstrap:
     def test_two_by_two_table(self):
         table = bootstrap_stalks(2, 2)
-        assert table.get((2,), (2,)) == LaurentPoly({-1: 1})
-        assert table.get((2,), (1, 1)) == LaurentPoly({-1: 1})
-        assert table.get((1, 1), (1, 1)) == LaurentPoly({0: 1})
-        assert table.get((1, 1), (2,)) == LaurentPoly()
+        assert table[(2,), (2,)] == LaurentPoly({-1: 1})
+        assert table[(2,), (1, 1)] == LaurentPoly({-1: 1})
+        assert table[(1, 1), (1, 1)] == LaurentPoly({0: 1})
+        assert table[(1, 1), (2,)] == LaurentPoly()
 
     def test_two_by_three_table(self):
         table = bootstrap_stalks(2, 3)
-        assert table.get((2, 1), (2, 1)) == LaurentPoly({-2: 1})
-        assert table.get((2, 1), (1, 1, 1)) == LaurentPoly({-1: 1, -2: 1})
-        assert table.get((1, 1, 1), (1, 1, 1)) == LaurentPoly({0: 1})
+        assert table[(2, 1), (2, 1)] == LaurentPoly({-2: 1})
+        assert table[(2, 1), (1, 1, 1)] == LaurentPoly({-1: 1, -2: 1})
+        assert table[(1, 1, 1), (1, 1, 1)] == LaurentPoly({0: 1})
 
     def test_invariants_and_hypothesis(self):
         for n in range(1, 4):
@@ -130,10 +130,10 @@ class TestBootstrap:
                 assert hyp.status == "pass", (n, d, hyp.witnesses[:2])
                 shift = n_stat((1,) * d)
                 for P in enumerate_partitions(n, d):
-                    assert table.get(P, P) == LaurentPoly({-(orbit_dim(P) // 2): 1})
+                    assert table[P, P] == LaurentPoly({-(orbit_dim(P) // 2): 1})
                     for lam in enumerate_partitions(n, d):
                         expected = modified_kostka_foulkes(P, lam).shift(-shift)
-                        assert table.get(P, lam) == expected
+                        assert table[P, lam] == expected
 
 
 class TestDegreeChecks:
@@ -203,9 +203,11 @@ class TestSuite:
         witnesses = {(tuple(w["lambda"]), tuple(w["dimvec"])) for w in trace.witnesses}
         assert ((2,), (2, 0)) in witnesses
 
-    def test_report_schema_and_determinism(self):
-        first = run_suite(3, 3).to_json()
-        second = run_suite(3, 3).to_json()
+    def test_report_schema_and_determinism(self, capsys):
+        assert cli.run(["verify", "--n", "3", "--d", "3"]) == cli.EXIT_OK
+        first = capsys.readouterr().out
+        assert cli.run(["verify", "--n", "3", "--d", "3"]) == cli.EXIT_OK
+        second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
         assert set(payload) == {"params", "checks"}
@@ -264,7 +266,7 @@ class TestFailureBranches:
                             lambda P, lam: real(P, lam) + 1)
         result = verify_stalk_hypothesis(table)
         witnesses = _failed(result, {"orbit", "lambda", "left", "right"})
-        assert len(witnesses) == result.cases == len(table.entries)
+        assert len(witnesses) == result.cases == len(table)
 
     def test_stalk_bootstrap_support_and_normalization(self, monkeypatch):
         # counts that make every stalk trace t_P(lam) equal to 1
@@ -278,7 +280,7 @@ class TestFailureBranches:
 
         monkeypatch.setattr(verifier, "_fiber_poly", fake)
         check, table = verify_stalk_bootstrap(n, d)
-        assert all(v == 1 for v in table.entries.values())
+        assert all(v == 1 for v in table.values())
         witnesses = _failed(check, {"orbit", "lambda", "value", "reason"})
         support = [(w["orbit"], w["lambda"]) for w in witnesses
                    if w["reason"] == "support outside the dominance order"]
