@@ -9,22 +9,26 @@ fiber_count_brute counts flags over F_p straight from the definition,
 one step at a time.  fiber_count and fiber_polynomial share one
 recursion, _flag_sum: the first flag step ranges over the subspaces U of
 the kernel, the problem descends to the quotient by U, and results are
-memoized on (Jordan type, remaining jumps).  Only the tally of quotient
+memoized on (Jordan type, remaining jumps).  A zero jump repeats a
+subspace, so both drop the zero jumps before the memo, and a dimension
+vector counts as its nonzero composition.  Only the tally of quotient
 types and their weights differs.  At a prime p it counts the U, kept in
 the Budget that paid for the enumeration.  When the operator vanishes,
 every m-subspace leaves type 1^(d-m), in [d; m]_p ways, and nothing is
-enumerated; otherwise each U is enumerated in the kernel's own
-coordinates and the quotient type is read from the ranks of U against
-the subspaces ker a & im a^k, with no matrix built.  For the polynomial
-in q, the tally is its closed form, the vertical-strip Hall polynomials,
-and no field is needed.  Both routes at p charge the Budget for each
-batch of subspaces, [m; k]_p, before _echelon_bases enumerates it.
+enumerated; otherwise each U is visited in the kernel's own coordinates
+and the quotient type is read from U's right pivots, with no matrix
+built.  _right_pivot_census walks the U as leaves of their echelon rows:
+the rows below the first are eliminated once per prefix, and the first
+row's choices cost one packed add mod p each.  For the polynomial in q,
+the tally is its closed form, the vertical-strip Hall polynomials, and
+no field is needed.  Both routes at p charge the Budget for each batch
+of subspaces, [m; k]_p, before they enumerate it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -53,10 +57,10 @@ class Budget:
     A run is one fiber_count or fiber_count_brute call given an int or
     None, or every call sharing this Budget; charge is the one place
     where enumeration is paid for and counted.  The memo p -> {(Jordan
-    type, remaining jumps) -> count} and the tally (Jordan type, first
-    jump, p) -> ((quotient type, multiplicity), ...) live here, so a
-    count is reused only under the budget that was charged for it and an
-    outcome never depends on what the process computed before.
+    type, remaining nonzero jumps) -> count} and the tally (Jordan type,
+    first jump, p) -> ((quotient type, multiplicity), ...) live here, so
+    a count is reused only under the budget that was charged for it and
+    an outcome never depends on what the process computed before.
     """
 
     def __init__(self, limit: int | None = None):
@@ -317,37 +321,108 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     return _named(lam, dimvec, p, _count_flags, _jordan_matrix(lam, p), dimvec, _as_budget(budget))
 
 
-def _right_pivots(rows, p: int) -> list[int]:
-    """The columns, right to left, where the rank of the rows' projection
-    to the coordinates c.. grows.
+# words per cached Gray table; longer walks chain copies of one, so a large
+# prime costs no memory in proportion to p^f
+_GRAY_TABLE = 4096
 
-    Eliminates column by column from the right: the first live row with
-    an entry there is its pivot and leaves, and the others are cleared
-    in that column by cross-multiplication, so nothing is scaled and no
-    pivot row is touched again.  Rows are cut to the columns still to
-    come, and the sweep stops when no live row is left.
+
+@cache
+def _gray_table(f: int, p: int) -> tuple[int, ...]:
+    if not f:
+        return ()
+    inner = _gray_table(f - 1, p)
+    return (inner + (f - 1,)) * (p - 1) + inner
+
+
+def _gray_steps(f: int, p: int):
+    """The digit that each step of the p-ary modular Gray code on f digits
+    raises by one mod p; the p^f - 1 steps visit every word from 0 once.
+    The walk on f digits is p walks on f - 1 of them, joined by steps of
+    digit f - 1."""
+    if p ** f <= _GRAY_TABLE:
+        return _gray_table(f, p)
+    walks = [_gray_steps(f - 1, p) for _ in range(p)]
+    return chain(walks[0], *(chain((f - 1,), walk) for walk in walks[1:]))
+
+
+def _right_pivot_census(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
+    """The k-subspaces U of F_p^ell counted by their right pivots, the
+    columns where the rank of U's coordinates c.. grows as c falls.
+
+    U is visited once per RREF basis, rows chosen from the last up: each
+    row below the first is added to the reduced right-echelon basis of
+    the rows below it, so that elimination runs once per prefix.  The
+    first row e_c0 + sum x_j e_j has the most free entries.  Reduced
+    against the prefix, it is e_c0 + sum x_j g_j, with g_j = e_j minus
+    the prefix row whose right pivot is j, or e_j if there is none; its
+    last nonzero column is U's remaining right pivot.  A Gray odometer
+    walks the p^f choices of x one g_j at a time over base-p words
+    packed into an int, digit j in bits width*j.., so each U costs one
+    fieldwise add mod p and one bit_length.
     """
-    live = [list(r) for r in rows if any(r)]
-    pivots = []
-    c = len(rows[0]) if live else 0
-    while live and c:
-        c -= 1
-        pivot = None
-        rest = []
-        for row in live:
-            x = row.pop()
-            if not x:
-                rest.append(row)
-            elif pivot is None:
-                pivot, y = row, x
-            else:
-                row = [(y * s - x * t) % p for s, t in zip(row, pivot)]
-                if any(row):
-                    rest.append(row)
-        if pivot is not None:
-            pivots.append(c)
-        live = rest
-    return pivots
+    if not k:
+        return {(): 1}
+    width = (p - 1).bit_length() + 1  # a digit sum below 2p fits, with a bit to spare
+    ones = sum(1 << (width * j) for j in range(ell))
+    high = ones << (width - 1)
+    lift = ones * ((1 << (width - 1)) - p)  # carries into a digit's high bit iff it reaches p
+    hits: dict[tuple[int, ...], list[int]] = {}
+
+    def pack(row):
+        return sum(x << (width * j) for j, x in enumerate(row))
+
+    def insert(basis, row):
+        # the reduced right-echelon basis {right pivot: row} of basis + row
+        for r, b in basis.items():
+            x = row[r]
+            if x:
+                row = [(s - x * t) % p for s, t in zip(row, b)]
+        top = max(j for j, x in enumerate(row) if x)
+        inv = pow(row[top], p - 2, p)
+        row = [x * inv % p for x in row]
+        out = {r: [(s - b[top] * t) % p for s, t in zip(b, row)] if b[top] else b
+               for r, b in basis.items()}
+        out[top] = row
+        return out
+
+    def walk(first, lefts, basis):
+        # every first row with its pivot left of the prefix's
+        tally = hits.setdefault(tuple(sorted(basis)), [0] * (width * ell + 1))
+        gen = [1 << (width * j) for j in range(ell)]
+        for r, b in basis.items():
+            # e_r - b, where b is 1 at r
+            gen[r] = pack(0 if j == r else -x % p for j, x in enumerate(b))
+        for c0 in range(first):
+            gens = [gen[j] for j in range(c0 + 1, ell) if j not in lefts]
+            v = 1 << (width * c0)
+            tally[v.bit_length()] += 1
+            for j in _gray_steps(len(gens), p):
+                s = v + gens[j]
+                v = s - (((s + lift) & high) >> (width - 1)) * p
+                tally[v.bit_length()] += 1
+
+    def place(i, first, lefts, basis):
+        # rows i.. are chosen; row i - 1 takes a pivot left of first
+        if i == 1:
+            walk(first, lefts, basis)
+            return
+        for c in range(i - 1, first):
+            free = [j for j in range(c + 1, ell) if j not in lefts]
+            for values in product(range(p), repeat=len(free)):
+                row = [0] * ell
+                row[c] = 1
+                for j, x in zip(free, values):
+                    row[j] = x
+                place(i - 1, c, lefts | {c}, insert(basis, row))
+
+    place(k, ell, frozenset(), {})
+    census: dict[tuple[int, ...], int] = {}
+    for prefix, tally in hits.items():
+        for bits, count in enumerate(tally):
+            if count:
+                pivots = tuple(sorted(prefix + ((bits - 1) // width,)))
+                census[pivots] = census.get(pivots, 0) + count
+    return census
 
 
 def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
@@ -369,13 +444,9 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
         return hit
     ell = len(lam)
     budget.charge(gaussian_binomial(ell, d1)(p))
-    by_pivots: dict[tuple[int, ...], int] = {}
-    for _, rows in _echelon_bases(ell, d1, p):
-        pivots = tuple(_right_pivots(rows, p))
-        by_pivots[pivots] = by_pivots.get(pivots, 0) + 1
     cols = conjugate(lam)
     counts: dict[Partition, int] = {}
-    for pivots, count in by_pivots.items():
+    for pivots, count in _right_pivot_census(ell, d1, p).items():
         # the rank of the coordinates c.. is the number of pivots at or after c
         ranks = [sum(1 for j in pivots if j >= c) for c in cols + (0,)]
         tau_cols = [c - r1 + r0 for c, r0, r1 in zip(cols, ranks, ranks[1:])]
@@ -384,6 +455,12 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     result = tuple(sorted(counts.items()))
     budget.tally[key] = result
     return result
+
+
+def _nonzero(dimvec: DimVector) -> DimVector:
+    """dimvec without its zero jumps, which repeat a subspace and leave
+    the flag variety unchanged."""
+    return tuple(filter(None, dimvec))
 
 
 def _flag_sum(lam: Partition, dims: DimVector, tally, memo: dict):
@@ -396,8 +473,8 @@ def _flag_sum(lam: Partition, dims: DimVector, tally, memo: dict):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if len(dims) == 1:
-        # the single step is the whole space; a must vanish on it
+    if len(dims) <= 1:
+        # the single step, if any, is the whole space; a must vanish on it
         total = 1 if all(part == 1 for part in lam) else 0
     elif lam and lam[0] > len(dims):
         # an n-step flag forces a^n = 0, so blocks longer than n kill the fiber
@@ -428,6 +505,11 @@ def fiber_count(lam, dimvec, p, *, budget=None) -> int:
 
 def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> int:
     """The count of fiber_count for a valid instance."""
+    dims = _nonzero(dimvec)
+    memo = budget.memo.setdefault(p, {})
+    hit = memo.get((lam, dims))
+    if hit is not None:
+        return hit
 
     def tally(lam, d1):
         if not lam or lam[0] == 1:
@@ -436,7 +518,7 @@ def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> i
             return (((1,) * (d - d1), gaussian_binomial(d, d1)(p)),)
         return _kernel_quotient_tally(lam, d1, p, budget)
 
-    return _named(lam, dimvec, p, _flag_sum, lam, dimvec, tally, budget.memo.setdefault(p, {}))
+    return _named(lam, dimvec, p, _flag_sum, lam, dims, tally, memo)
 
 
 @cache
@@ -471,9 +553,9 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
 _POLY_MEMO: dict[tuple, LaurentPoly | int] = {}
 
 
-def _fiber_poly(lam: Partition, dims: DimVector) -> LaurentPoly:
+def _fiber_poly(lam: Partition, dimvec: DimVector) -> LaurentPoly:
     # the recursion's base cases are the ints 0 and 1
-    return LaurentPoly.one() * _flag_sum(lam, dims, _strip_tally, _POLY_MEMO)
+    return LaurentPoly.one() * _flag_sum(lam, _nonzero(dimvec), _strip_tally, _POLY_MEMO)
 
 
 def fiber_polynomial(lam, dimvec) -> LaurentPoly:

@@ -23,9 +23,11 @@ with P_q the type A q-Kostant partition function (Lusztig, "Singularities,
 character formulas, and a q-analog of weight multiplicities", 1983).  The
 tests compare it with the charge route, nilflag.qpoly.kostka_foulkes.
 
-right_pivots_by_rref reads the columns where the rank of a row list's
-coordinates c.. grows from the reduced row echelon form of the reversed
-rows, the route the tally took before its right-to-left elimination.
+right_pivots reads the columns where the rank of a row list's
+coordinates c.. grows by one elimination of the rows from the right, per
+subspace; the tests compare the package's leaf-walk census with it.
+right_pivots_by_rref reads the same columns from the reduced row echelon
+form of the reversed rows, as a check on right_pivots.
 """
 
 from fractions import Fraction
@@ -112,6 +114,39 @@ def interpolate(samples, degree_bound: int) -> LaurentPoly:
                 f"non-integer coefficient {c} at degree {t}; "
                 "wrong degree bound or a counting bug")
     return LaurentPoly({t: int(c) for t, c in enumerate(coeffs) if c})
+
+
+def right_pivots(rows, p: int) -> list[int]:
+    """The columns, right to left, where the rank of the rows' projection
+    to the coordinates c.. grows.
+
+    Eliminates column by column from the right: the first live row with
+    an entry there is its pivot and leaves, and the others are cleared
+    in that column by cross-multiplication, so nothing is scaled and no
+    pivot row is touched again.  Rows are cut to the columns still to
+    come, and the sweep stops when no live row is left.
+    """
+    live = [list(r) for r in rows if any(r)]
+    pivots = []
+    c = len(rows[0]) if live else 0
+    while live and c:
+        c -= 1
+        pivot = None
+        rest = []
+        for row in live:
+            x = row.pop()
+            if not x:
+                rest.append(row)
+            elif pivot is None:
+                pivot, y = row, x
+            else:
+                row = [(y * s - x * t) % p for s, t in zip(row, pivot)]
+                if any(row):
+                    rest.append(row)
+        if pivot is not None:
+            pivots.append(c)
+        live = rest
+    return pivots
 
 
 def right_pivots_by_rref(rows, p: int) -> list[int]:

@@ -37,8 +37,6 @@ POLYNOMIAL_GRID = [
     (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5),
     (2, 6), (3, 6), (4, 6), (3, 7), (3, 8), (4, 8),
 ]
-# counting primes per grid point: at p = 3, (3,8) alone enumerates 2.2 M subspaces
-GRID_PRIMES = {(n, d): [2] if d == 8 else [2, 3] for n, d in POLYNOMIAL_GRID}
 NUMERIC_GRID = [(2, 6), (3, 6)]
 
 
@@ -54,7 +52,7 @@ def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:
 def grid_reports():
     t0 = time.perf_counter()
     reports = {
-        (n, d): run_suite(n, d, mode="polynomial", primes=GRID_PRIMES[n, d])
+        (n, d): run_suite(n, d, mode="polynomial", primes=[2, 3])
         for (n, d) in POLYNOMIAL_GRID
     }
     return reports, time.perf_counter() - t0
@@ -92,8 +90,8 @@ def test_criterion_02_trace_identity_polynomial(grid_reports):
             failures.append((key, trace.witnesses[:2]))
     _criterion(
         2,
-        "trace identity exact in polynomial mode at (n, d): counting primes "
-        + ", ".join(f"{key}: {primes}" for key, primes in GRID_PRIMES.items()),
+        "trace identity exact in polynomial mode on the grid up to d = 8, "
+        "counting at p = 2 and 3",
         not failures and elapsed < 600.0,
         f"{elapsed:.1f}s, failures={failures}",
     )

@@ -158,13 +158,17 @@ def test_budget_exhaustion_exits_2(capsys):
     # the budget covers the whole verify run, not each count
     assert run(["verify", "--n", "2", "--d", "3", "--budget", "5"]) == EXIT_USAGE
     capsys.readouterr()
-    # polynomial verify at (3,5) enumerates exactly 448 subspaces
-    code = run(["verify", "--n", "3", "--d", "5", "--budget", "447"])
+    # polynomial verify at (3,5) enumerates exactly 432 subspaces: [ell; d1]_p
+    # summed over its 46 tallies (lambda, d1, p), 23 at each of p = 2 and 3.
+    # The refusal names the dimension vector as given, its zero jump included.
+    code = run(["verify", "--n", "3", "--d", "5", "--budget", "431"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert "budget" in captured.err and "counting lambda=" in captured.err
-    assert run(["verify", "--n", "3", "--d", "5", "--budget", "448"]) == EXIT_OK
+    assert captured.err == (
+        "error: subspace budget exhausted (432 > 431) counting "
+        "lambda=[2, 1, 1, 1], dimvec=[1, 4, 0], q=3\n")
+    assert run(["verify", "--n", "3", "--d", "5", "--budget", "432"]) == EXIT_OK
     capsys.readouterr()
     # a negative budget is a usage error, not a failed check
     code = run(["verify", "--n", "2", "--d", "2", "--budget", "-3"])

@@ -21,7 +21,7 @@ from nilflag.flaggeo import (
     FqSubspace,
     _echelon_bases,
     _kernel_quotient_tally,
-    _right_pivots,
+    _right_pivot_census,
     check_prime,
     count_flags,
     fiber_count,
@@ -43,6 +43,7 @@ from oracles import (
     mul,
     quotient_type,
     rank,
+    right_pivots,
     right_pivots_by_rref,
     transpose,
 )
@@ -238,6 +239,23 @@ def test_kernel_quotient_tally_against_matrix_route():
     assert tallies == 272
 
 
+def test_right_pivot_census_against_elimination():
+    # the leaf walk against one elimination per subspace, up to 10**5
+    # subspaces; p = 11 and 13 need wider packed digits than p <= 7, and
+    # p = 7 at ell = 6 walks 7^5 words, past one cached Gray table
+    censuses = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for ell in range(1, 7 if p <= 7 else 4):
+            for k in range(1, ell + 1):
+                if gaussian_binomial(ell, k)(p) > 10**5:
+                    continue
+                oracle = Counter(tuple(sorted(right_pivots(rows, p)))
+                                 for _, rows in _echelon_bases(ell, k, p))
+                assert _right_pivot_census(ell, k, p) == oracle, (ell, k, p)
+                censuses += 1
+    assert censuses == 88
+
+
 def test_right_pivots_against_reversed_rref():
     # every k-subspace of F_p^m, by its echelon basis and by a shuffled
     # basis padded with a zero row and a dependent row
@@ -248,31 +266,31 @@ def test_right_pivots_against_reversed_rref():
             for k in range(m + 1):
                 for _, rows in _echelon_bases(m, k, p):
                     expected = right_pivots_by_rref(rows, p)
-                    assert _right_pivots(rows, p) == expected, (rows, p)
+                    assert right_pivots(rows, p) == expected, (rows, p)
                     coeffs = [rng.randrange(p) for _ in rows]
                     extra = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p
                                   for j in range(m))
                     padded = list(rows) + [(0,) * m, extra]
                     rng.shuffle(padded)
-                    assert _right_pivots(padded, p) == expected, (padded, p)
+                    assert right_pivots(padded, p) == expected, (padded, p)
                     subspaces += 1
     assert subspaces == sum(
         gaussian_binomial(m, k)(p) for p in (2, 3, 5) for m in range(1, 6) for k in range(m + 1))
 
 
 def test_right_pivots_of_zero_and_dependent_rows():
-    assert _right_pivots([], 3) == []
-    assert _right_pivots([(0, 0, 0), (0, 0, 0)], 3) == []
+    assert right_pivots([], 3) == []
+    assert right_pivots([(0, 0, 0), (0, 0, 0)], 3) == []
     # equal, proportional and summed rows add no rank
-    assert _right_pivots([(1, 2, 0), (2, 1, 0), (1, 2, 0)], 3) == [1]
-    assert _right_pivots([(1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 0)], 3) == [2, 1]
+    assert right_pivots([(1, 2, 0), (2, 1, 0), (1, 2, 0)], 3) == [1]
+    assert right_pivots([(1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 0)], 3) == [2, 1]
     rng = random.Random(8)
     for p in (2, 3, 5):
         for _ in range(300):
             m = rng.randrange(1, 7)
             rows = [tuple(rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(m))
                     for _ in range(rng.randrange(1, 7))]
-            assert _right_pivots(rows, p) == right_pivots_by_rref(rows, p), (rows, p)
+            assert right_pivots(rows, p) == right_pivots_by_rref(rows, p), (rows, p)
 
 
 def _inverse(m: FqMatrix) -> FqMatrix:
@@ -374,6 +392,31 @@ def test_empty_fiber_consistency():
     for p in (2, 3, 5, 7):
         assert fiber_count((2,), (2, 0), p) == 0
         assert fiber_count((2,), (0, 2), p) == 0
+
+
+def test_zero_jumps_count_as_the_nonzero_composition():
+    # a zero jump repeats a subspace: padding a composition with zeros
+    # changes neither the count, which the brute route still finds by
+    # walking every zero step, nor the polynomial, nor what a run is charged
+    for d in range(1, 6):
+        # at d = 5, three steps would cost the brute route about 12 s at p = 3
+        steps = (1, 2, 3) if d < 5 else (1, 2)
+        compositions = [dv for n in steps for dv in enumerate_dimvecs(n, d) if all(dv)]
+        for dense in compositions:
+            head, tail = dense[:1], dense[1:]
+            walled = (0,) + head + (0, 0) + tail + (0,)
+            padded = [(0,) + dense, head + (0,) + tail, dense + (0,), walled]
+            for lam in enumerate_partitions(d, d):
+                poly = fiber_polynomial(lam, dense)
+                assert all(fiber_polynomial(lam, dv) == poly for dv in padded), (lam, dense)
+                for p in (2, 3):
+                    budget = Budget()
+                    count = fiber_count(lam, dense, p, budget=budget)
+                    assert fiber_count_brute(lam, walled, p) == count, (lam, walled, p)
+                    for dv in padded:
+                        fresh = Budget()
+                        assert fiber_count(lam, dv, p, budget=fresh) == count
+                        assert fresh.used == budget.used, (lam, dv, p)
 
 
 def test_fiber_polynomial_fixed_points():

@@ -13,7 +13,7 @@ from nilflag.combinatorics import (
     sorted_weight,
 )
 from nilflag.flaggeo import Budget, fiber_polynomial
-from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
+from nilflag.qpoly import LaurentPoly, gaussian_binomial, modified_kostka_foulkes
 from nilflag.verifier import (
     bootstrap_stalks,
     run_suite,
@@ -70,15 +70,21 @@ class TestTraceIdentity:
         pairs = len(enumerate_partitions(3, 4)) * len(enumerate_dimvecs(3, 4))
         assert result.cases == pairs * 2
 
-    def test_numeric_six_six_enumerates_4247_subspaces(self):
+    def test_numeric_six_six_enumerates_4201_subspaces(self):
         # the enumeration's work at numeric (6,6), primes 2 and 3: the run's
-        # budget is charged for exactly the subspaces the tally walks
+        # budget is charged for exactly the subspaces the tally walks.
+        # 4201 is [ell; d1]_p summed over the 132 tallies (lambda, d1, p)
+        # the recursion reaches, 66 per prime: 698 at p = 2 and 3503 at
+        # p = 3.  Zero jumps are dropped, so no tally has d1 = 0.
         budget = Budget()
         before = flaggeo.STATS["subspaces"]
         result = verify_trace_identity(6, 6, mode="numeric", primes=[2, 3], budget=budget)
         assert result.status == "pass"
-        assert budget.used == 4247
-        assert flaggeo.STATS["subspaces"] - before == 4247
+        assert budget.used == 4201
+        assert flaggeo.STATS["subspaces"] - before == 4201
+        assert len(budget.tally) == 132
+        assert all(d1 >= 1 for _, d1, _ in budget.tally)
+        assert 4201 == sum(gaussian_binomial(len(lam), d1)(p) for lam, d1, p in budget.tally)
 
     def test_character_side_once_per_weight_class(self, monkeypatch):
         calls = []
