@@ -554,8 +554,9 @@ _POLY_MEMO: dict[tuple, LaurentPoly | int] = {}
 
 
 def _fiber_poly(lam: Partition, dimvec: DimVector) -> LaurentPoly:
+    total = _flag_sum(lam, _nonzero(dimvec), _strip_tally, _POLY_MEMO)
     # the recursion's base cases are the ints 0 and 1
-    return LaurentPoly.one() * _flag_sum(lam, _nonzero(dimvec), _strip_tally, _POLY_MEMO)
+    return LaurentPoly({0: total}) if isinstance(total, int) else total
 
 
 def fiber_polynomial(lam, dimvec) -> LaurentPoly:

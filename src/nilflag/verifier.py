@@ -6,10 +6,13 @@ recursion on one side, charge q-analogs and weight multiplicities on the
 other.  The run's primes (2 and 3 unless given) are where flags are
 counted by enumeration over F_q: numeric mode compares those counts with
 the character side, and polynomial mode checks the fiber polynomials
-against them.  Every check returns a CheckResult with pass/fail/skipped
-status and failure witnesses; a VerificationReport bundles them with the
-run parameters.  Both turn into plain dicts with as_dict; writing them
-as JSON is the command line's job.
+against them.  A check over dimension vectors computes each side once
+per nonzero composition, the key on which fibers are memoized, and
+reports the comparison for every dv of it.  Every check returns a
+CheckResult with pass/fail/skipped status and failure witnesses; a
+VerificationReport bundles them with the run parameters.  Both turn
+into plain dicts with as_dict; writing them as JSON is the command
+line's job.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .combinatorics import (
     sorted_weight,
     syt_count,
 )
-from .flaggeo import _as_budget, _fiber_count, _fiber_poly, check_prime
+from .flaggeo import _as_budget, _fiber_count, _fiber_poly, _nonzero, check_prime
 from .qpoly import LaurentPoly, _modified_kostka_foulkes
 
 CONVENTIONS = ("standard", "literal-paper")
@@ -122,14 +125,47 @@ def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") ->
     dv = check_dimvec(dv, n)
     if sum(lam) != d or sum(dv) != d:
         raise ValueError(f"lambda {lam} and dimvec {dv} must both sum to d={d}")
-    weight = sorted_weight(dv)
-    total = LaurentPoly()
-    for P in enumerate_partitions(n, d):
-        weight_shape = conjugate(P) if convention == "standard" else P
-        mult = _kostka(weight_shape, weight)
-        if mult:
-            total = total + _modified_kostka_foulkes(P, lam) * mult
-    return total.shift(flag_dim(dv) - n_stat((1,) * d))
+    return _character_side(n, d, convention)(lam, sorted_weight(dv))
+
+
+def _character_side(n: int, d: int, convention: str):
+    """trace_identity_rhs as a function of (lam, sorted weight), for one run.
+
+    Each Kostka number _kostka(shape(P), weight) is read once per
+    (P, weight) and each modified charge polynomial once per (P, lam);
+    a right side is one coefficient sum, shifted as it is summed.
+    """
+    parts = enumerate_partitions(n, d)
+    shapes = {P: conjugate(P) if convention == "standard" else P for P in parts}
+    base = n_stat((1,) * d)
+    mults: dict[Partition, list[tuple[Partition, int]]] = {}
+    charge_terms: dict[tuple[Partition, Partition], list[tuple[int, int]]] = {}
+
+    def rhs(lam: Partition, weight: Partition) -> LaurentPoly:
+        if weight not in mults:
+            mults[weight] = [(P, m) for P in parts if (m := _kostka(shapes[P], weight))]
+        shift = flag_dim(weight) - base
+        coeffs: dict[int, int] = {}
+        for P, m in mults[weight]:
+            if (P, lam) not in charge_terms:
+                charge_terms[P, lam] = _modified_kostka_foulkes(P, lam).items()
+            for e, c in charge_terms[P, lam]:
+                coeffs[e + shift] = coeffs.get(e + shift, 0) + m * c
+        return LaurentPoly(coeffs)
+
+    return rhs
+
+
+def _dimvec_classes(n: int, d: int) -> list[tuple[Partition, list[DimVector]]]:
+    """enumerate_dimvecs(n, d) grouped by nonzero composition, the fiber
+    memo's key, as (sorted weight, dvs in enumeration order) per class.
+    Classes come in the order of their first dv, at which the class's
+    fibers are computed.
+    """
+    classes: dict[DimVector, list[DimVector]] = {}
+    for dv in enumerate_dimvecs(n, d):
+        classes.setdefault(_nonzero(dv), []).append(dv)
+    return [(sorted_weight(dims), dvs) for dims, dvs in classes.items()]
 
 
 def _witness_key(w: dict):
@@ -159,10 +195,13 @@ def verify_trace_identity(
     per pair and prime.  One Budget covers every count of the run; a
     refusal raises BudgetExceeded.
 
-    The character side depends on dv only through its sorted weight, so
-    trace_identity_rhs runs once per (lam, weight) and is evaluated once
-    per (lam, weight, prime); the fiber side is still computed per dv,
-    and every witness carries its own dv.
+    Both sides depend on dv only through its nonzero composition: the
+    fiber by dropping zero jumps, the character side through its sorted
+    weight.  So each side is computed once per class of
+    _dimvec_classes, at the class's first dv, and compared once; the
+    right side is built once per (lam, weight) and evaluated once per
+    prime.  Every dv of the class is still its own case, and every
+    witness carries its own dv.
     """
     _check_convention(convention)
     if mode not in ("polynomial", "numeric"):
@@ -171,39 +210,39 @@ def verify_trace_identity(
     witnesses: list[dict] = []
     cases = 0
     count_primes = _count_primes(primes)
-    dimvecs = enumerate_dimvecs(n, d)
+    classes = _dimvec_classes(n, d)
+    rhs_at = _character_side(n, d, convention)
     for lam in enumerate_partitions(n, d):
         # the right side and its values at the primes, per sorted weight
-        by_weight: dict[DimVector, tuple[LaurentPoly, list]] = {}
-        for dv in dimvecs:
-            weight = tuple(sorted(dv, reverse=True))
+        by_weight: dict[Partition, tuple[LaurentPoly, list]] = {}
+        for weight, dvs in classes:
             if weight not in by_weight:
-                rhs = trace_identity_rhs(n, d, lam, weight, convention)
+                rhs = rhs_at(lam, weight)
                 by_weight[weight] = rhs, [rhs(q) for q in count_primes]
             rhs, right_vals = by_weight[weight]
             if mode == "polynomial":
-                cases += 1
-                lhs = _fiber_poly(lam, dv)
+                cases += len(dvs)
+                lhs = _fiber_poly(lam, dvs[0])
                 if lhs != rhs:
-                    witnesses.append({
+                    witnesses.extend({
                         "lambda": list(lam),
                         "dimvec": list(dv),
                         "left": lhs.to_text(),
                         "right": rhs.to_text(),
-                    })
+                    } for dv in dvs)
                     continue
             else:
-                cases += len(count_primes)
+                cases += len(dvs) * len(count_primes)
             for q, right_val in zip(count_primes, right_vals):
-                left_val = _fiber_count(lam, dv, q, budget)
+                left_val = _fiber_count(lam, dvs[0], q, budget)
                 if left_val != right_val:
-                    witnesses.append({
+                    witnesses.extend({
                         "lambda": list(lam),
                         "dimvec": list(dv),
                         "q": q,
                         "left": str(left_val),
                         "right": str(right_val),
-                    })
+                    } for dv in dvs)
     return CheckResult("trace_identity", cases, witnesses)
 
 
@@ -215,39 +254,45 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
     sum over P of t_P(lam) * kostka_number(conjugate(P), dv).  The rows
     at dv = conjugate(P), one per P, are unitriangular and determine the
     unique solution; every remaining equation is then checked, and
-    failure raises StalkConsistencyError.
+    failure raises StalkConsistencyError.  Both sides of an equation
+    depend on dv only through its class in _dimvec_classes, so each
+    class is checked once, at its first dv, against a prediction built
+    once per weight.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) for P in parts}
-    mus = {P: shapes[P] + (0,) * (n - len(shapes[P])) for P in parts}
-    order = sorted(parts, key=lambda P: mus[P], reverse=True)
-    weights = [(dv, sorted_weight(dv)) for dv in enumerate_dimvecs(n, d)]
+    order = sorted(parts, key=lambda P: shapes[P], reverse=True)
+    classes = _dimvec_classes(n, d)
 
     table: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
-
-        def normalized(dv) -> LaurentPoly:
-            return _fiber_poly(lam, dv).shift(-flag_dim(dv))
-
+        # each class's normalized fiber, keyed on its nonzero composition;
+        # the pivot row of P is the class of conjugate(P)
+        normalized = {_nonzero(dvs[0]): _fiber_poly(lam, dvs[0]).shift(-flag_dim(weight))
+                      for weight, dvs in classes}
         solved: dict[Partition, LaurentPoly] = {}
         for i, P in enumerate(order):
-            acc = normalized(mus[P])
+            acc = normalized[shapes[P]]
             for Q in order[:i]:
                 m = _kostka(shapes[Q], shapes[P])
                 if m:
                     acc = acc - solved[Q] * m
             # the diagonal multiplicity kostka(conj P, mu_P) is 1
             solved[P] = acc
-        for dv, weight in weights:
-            predicted = LaurentPoly()
-            for P in parts:
-                m = _kostka(shapes[P], weight)
-                if m:
-                    predicted = predicted + solved[P] * m
-            if predicted != normalized(dv):
+        predictions: dict[Partition, LaurentPoly] = {}
+        for weight, dvs in classes:
+            if weight not in predictions:
+                predicted = LaurentPoly()
+                for P in parts:
+                    m = _kostka(shapes[P], weight)
+                    if m:
+                        predicted = predicted + solved[P] * m
+                predictions[weight] = predicted
+            predicted, actual = predictions[weight], normalized[_nonzero(dvs[0])]
+            if predicted != actual:
                 raise StalkConsistencyError(
-                    f"stalk system inconsistent at lam={lam}, dv={dv}: "
-                    f"{predicted.to_text()} != {normalized(dv).to_text()}")
+                    f"stalk system inconsistent at lam={lam}, dv={dvs[0]}: "
+                    f"{predicted.to_text()} != {actual.to_text()}")
         for P in parts:
             table[P, lam] = solved[P]
     return table
@@ -320,22 +365,23 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     witnesses: list[dict] = []
     cases = 0
     cone = nilcone_dim(n, d)
+    classes = _dimvec_classes(n, d)
     for lam in enumerate_partitions(n, d):
         half_orbit = orbit_dim(lam) // 2
         global_bound = (cone - orbit_dim(lam)) // 2
-        for dv in enumerate_dimvecs(n, d):
-            cases += 1
-            deg = _fiber_poly(lam, dv).degree()
+        for weight, dvs in classes:
+            cases += len(dvs)
+            deg = _fiber_poly(lam, dvs[0]).degree()
             if deg is None:
                 continue
-            limit = min(flag_dim(dv) - half_orbit, global_bound)
+            limit = min(flag_dim(weight) - half_orbit, global_bound)
             if deg > limit:
-                witnesses.append({
+                witnesses.extend({
                     "lambda": list(lam),
                     "dimvec": list(dv),
                     "degree": deg,
                     "bound": limit,
-                })
+                } for dv in dvs)
     return CheckResult("semismall", cases, witnesses)
 
 
@@ -348,23 +394,23 @@ def verify_top_components(n: int, d: int) -> CheckResult:
     """
     witnesses: list[dict] = []
     cases = 0
-    weights = [(dv, sorted_weight(dv)) for dv in enumerate_dimvecs(n, d)]
+    classes = _dimvec_classes(n, d)
     for lam in enumerate_partitions(n, d):
         half_orbit = orbit_dim(lam) // 2
         shape = conjugate(lam)
-        for dv, weight in weights:
-            cases += 1
-            target = flag_dim(dv) - half_orbit
-            got = _fiber_poly(lam, dv).coeff(target)
+        for weight, dvs in classes:
+            cases += len(dvs)
+            target = flag_dim(weight) - half_orbit
+            got = _fiber_poly(lam, dvs[0]).coeff(target)
             want = _kostka(shape, weight)
             if got != want:
-                witnesses.append({
+                witnesses.extend({
                     "lambda": list(lam),
                     "dimvec": list(dv),
                     "degree": target,
                     "left": got,
                     "right": want,
-                })
+                } for dv in dvs)
     return CheckResult("top_components", cases, witnesses)
 
 
@@ -376,14 +422,17 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
     """
     witnesses: list[dict] = []
     cases = 0
-    weights = [sorted_weight(dv) for dv in enumerate_dimvecs(n, d)]
+    # each weight with its number of dvs
+    weights: dict[Partition, int] = {}
+    for weight, dvs in _dimvec_classes(n, d):
+        weights[weight] = weights.get(weight, 0) + len(dvs)
     total = 0
     for P in enumerate_partitions(n, d):
         shape = conjugate(P)
         dim = schur_dim(shape, n)
         total += syt_count(P) * dim
         cases += 1
-        weight_sum = sum(_kostka(shape, weight) for weight in weights)
+        weight_sum = sum(_kostka(shape, weight) * count for weight, count in weights.items())
         if dim != weight_sum:
             witnesses.append({
                 "lambda": list(P),

@@ -170,6 +170,14 @@ def test_budget_exhaustion_exits_2(capsys):
         "lambda=[2, 1, 1, 1], dimvec=[1, 4, 0], q=3\n")
     assert run(["verify", "--n", "3", "--d", "5", "--budget", "432"]) == EXIT_OK
     capsys.readouterr()
+    # numeric (6,6) counts each nonzero composition once, at its first dv
+    code = run(["verify", "--n", "6", "--d", "6", "--mode", "numeric", "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "error: subspace budget exhausted (1110 > 1000) counting "
+        "lambda=[2, 2, 1, 1], dimvec=[2, 4, 0, 0, 0, 0], q=3\n")
     # a negative budget is a usage error, not a failed check
     code = run(["verify", "--n", "2", "--d", "2", "--budget", "-3"])
     captured = capsys.readouterr()

@@ -21,6 +21,11 @@ RUNS = [
      ["--n", "6", "--d", "6", "--mode", "numeric", "--primes", "2,3"], EXIT_OK),
     ("verify_n2_d2_literal_paper.json",
      ["--n", "2", "--d", "2", "--convention", "literal-paper"], EXIT_FAIL),
+    ("verify_n3_d4_literal_paper.json",
+     ["--n", "3", "--d", "4", "--convention", "literal-paper"], EXIT_FAIL),
+    ("verify_n3_d4_literal_paper_numeric.json",
+     ["--n", "3", "--d", "4", "--convention", "literal-paper", "--mode", "numeric"],
+     EXIT_FAIL),
 ]
 
 

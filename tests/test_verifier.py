@@ -86,15 +86,40 @@ class TestTraceIdentity:
         assert all(d1 >= 1 for _, d1, _ in budget.tally)
         assert 4201 == sum(gaussian_binomial(len(lam), d1)(p) for lam, d1, p in budget.tally)
 
+    def test_fiber_counted_once_per_nonzero_composition(self, monkeypatch):
+        # numeric (6,6) at p = 2, 3: 462 dvs fall into 32 nonzero
+        # compositions, so 11 lambdas make 11 * 32 * 2 = 704 counts, while
+        # every dv and prime is still a case and the charge is unchanged
+        calls = []
+        count = verifier._fiber_count
+
+        def counted(lam, dv, q, budget):
+            calls.append((lam, dv, q))
+            return count(lam, dv, q, budget)
+
+        monkeypatch.setattr(verifier, "_fiber_count", counted)
+        budget = Budget()
+        result = verify_trace_identity(6, 6, mode="numeric", primes=[2, 3], budget=budget)
+        assert result.status == "pass"
+        assert result.cases == 11 * 462 * 2
+        assert len(calls) == len(set(calls)) == 704
+        assert budget.used == 4201
+        assert len(budget.tally) == 132
+
     def test_character_side_once_per_weight_class(self, monkeypatch):
         calls = []
-        rhs = verifier.trace_identity_rhs
+        character_side = verifier._character_side
 
-        def counted(n, d, lam, dv, convention="standard"):
-            calls.append((lam, dv))
-            return rhs(n, d, lam, dv, convention)
+        def counted(n, d, convention):
+            rhs = character_side(n, d, convention)
 
-        monkeypatch.setattr(verifier, "trace_identity_rhs", counted)
+            def rhs_counted(lam, weight):
+                calls.append((lam, weight))
+                return rhs(lam, weight)
+
+            return rhs_counted
+
+        monkeypatch.setattr(verifier, "_character_side", counted)
         for n, d, classes in [(4, 5, 36), (3, 5, 25)]:
             calls.clear()
             result = verify_trace_identity(n, d)
@@ -297,16 +322,18 @@ class TestFailureBranches:
         assert len(witnesses) == 2
 
     def test_inconsistent_stalk_system_skips_the_hypothesis(self, monkeypatch):
-        # (0,2) is no pivot row of the (2,2) system, so changing its count
-        # leaves the solved table unable to predict it
+        # (1,2) is no pivot row of the (2,3) system, nor the nonzero
+        # composition of one, so changing its count leaves the solved table
+        # unable to predict it
         real = verifier._fiber_poly
         monkeypatch.setattr(verifier, "_fiber_poly",
-                            lambda lam, dv: real(lam, dv) + (dv == (0, 2)))
-        check, table = verify_stalk_bootstrap(2, 2)
+                            lambda lam, dv: real(lam, dv) + (dv == (1, 2)))
+        check, table = verify_stalk_bootstrap(2, 3)
         assert table is None and check.cases == 0
         [witness] = _failed(check, {"error"})
         assert "stalk system inconsistent" in witness["error"]
-        status = {c.name: c.status for c in run_suite(2, 2).checks}
+        assert "dv=(1, 2)" in witness["error"]
+        status = {c.name: c.status for c in run_suite(2, 3).checks}
         assert status["stalk_bootstrap"] == "fail"
         assert status["stalk_hypothesis"] == "skipped"
 
