@@ -6,9 +6,10 @@ recursion on one side, charge q-analogs and weight multiplicities on the
 other.  The run's primes (2 and 3 unless given) are where flags are
 counted by enumeration over F_q: numeric mode compares those counts with
 the character side, and polynomial mode checks the fiber polynomials
-against them.  A check over dimension vectors computes each side once
-per nonzero composition, the key on which fibers are memoized, and
-reports the comparison for every dv of it.  Every check returns a
+against them.  The three checks over (lam, dv) pairs run through one
+helper, _each_pair, which computes each side once per nonzero
+composition, the key on which fibers are memoized, and reports the
+comparison for every dv of it.  Every check returns a
 CheckResult with pass/fail/skipped status and failure witnesses; a
 VerificationReport bundles them with the run parameters.  Both turn
 into plain dicts with as_dict; writing them as JSON is the command
@@ -17,6 +18,7 @@ line's job.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -177,6 +179,26 @@ def _witness_key(w: dict):
     )
 
 
+def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> CheckResult:
+    """A check over every (lam, dv) pair, decided once per nonzero composition.
+
+    The one place where that rule is kept: failures(lam, weight, dv) runs
+    at the first dv of each class of _dimvec_classes and yields the fields
+    of each failed comparison.  Every dv of the class counts as
+    cases_per_pair cases and gets one witness per yielded dict.
+    """
+    witnesses: list[dict] = []
+    cases = 0
+    classes = _dimvec_classes(n, d)
+    for lam in enumerate_partitions(n, d):
+        for weight, dvs in classes:
+            cases += len(dvs) * cases_per_pair
+            for fields in failures(lam, weight, dvs[0]):
+                witnesses.extend({"lambda": list(lam), "dimvec": list(dv), **fields}
+                                 for dv in dvs)
+    return CheckResult(name, cases, witnesses)
+
+
 def verify_trace_identity(
     n: int,
     d: int,
@@ -197,53 +219,36 @@ def verify_trace_identity(
 
     Both sides depend on dv only through its nonzero composition: the
     fiber by dropping zero jumps, the character side through its sorted
-    weight.  So each side is computed once per class of
-    _dimvec_classes, at the class's first dv, and compared once; the
-    right side is built once per (lam, weight) and evaluated once per
-    prime.  Every dv of the class is still its own case, and every
-    witness carries its own dv.
+    weight.  So _each_pair compares them once per class and reports
+    every dv of it; the right side is built once per (lam, weight) and
+    evaluated once per prime.
     """
     _check_convention(convention)
     if mode not in ("polynomial", "numeric"):
         raise ValueError("mode must be 'polynomial' or 'numeric'")
     budget = _as_budget(budget)
-    witnesses: list[dict] = []
-    cases = 0
     count_primes = _count_primes(primes)
-    classes = _dimvec_classes(n, d)
     rhs_at = _character_side(n, d, convention)
-    for lam in enumerate_partitions(n, d):
-        # the right side and its values at the primes, per sorted weight
-        by_weight: dict[Partition, tuple[LaurentPoly, list]] = {}
-        for weight, dvs in classes:
-            if weight not in by_weight:
-                rhs = rhs_at(lam, weight)
-                by_weight[weight] = rhs, [rhs(q) for q in count_primes]
-            rhs, right_vals = by_weight[weight]
-            if mode == "polynomial":
-                cases += len(dvs)
-                lhs = _fiber_poly(lam, dvs[0])
-                if lhs != rhs:
-                    witnesses.extend({
-                        "lambda": list(lam),
-                        "dimvec": list(dv),
-                        "left": lhs.to_text(),
-                        "right": rhs.to_text(),
-                    } for dv in dvs)
-                    continue
-            else:
-                cases += len(dvs) * len(count_primes)
-            for q, right_val in zip(count_primes, right_vals):
-                left_val = _fiber_count(lam, dvs[0], q, budget)
-                if left_val != right_val:
-                    witnesses.extend({
-                        "lambda": list(lam),
-                        "dimvec": list(dv),
-                        "q": q,
-                        "left": str(left_val),
-                        "right": str(right_val),
-                    } for dv in dvs)
-    return CheckResult("trace_identity", cases, witnesses)
+    # the right side and its values at the primes, per (lam, sorted weight)
+    sides: dict[tuple[Partition, Partition], tuple[LaurentPoly, list]] = {}
+
+    def failures(lam, weight, dv):
+        if (lam, weight) not in sides:
+            rhs = rhs_at(lam, weight)
+            sides[lam, weight] = rhs, [rhs(q) for q in count_primes]
+        rhs, right_vals = sides[lam, weight]
+        if mode == "polynomial":
+            lhs = _fiber_poly(lam, dv)
+            if lhs != rhs:
+                yield {"left": lhs.to_text(), "right": rhs.to_text()}
+                return
+        for q, right_val in zip(count_primes, right_vals):
+            left_val = _fiber_count(lam, dv, q, budget)
+            if left_val != right_val:
+                yield {"q": q, "left": str(left_val), "right": str(right_val)}
+
+    per_pair = 1 if mode == "polynomial" else len(count_primes)
+    return _each_pair("trace_identity", n, d, per_pair, failures)
 
 
 def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], LaurentPoly]:
@@ -362,27 +367,15 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     deg <= flag_dim(dv) - orbit_dim(lam)/2 per component, and
     deg <= (nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
     """
-    witnesses: list[dict] = []
-    cases = 0
     cone = nilcone_dim(n, d)
-    classes = _dimvec_classes(n, d)
-    for lam in enumerate_partitions(n, d):
-        half_orbit = orbit_dim(lam) // 2
-        global_bound = (cone - orbit_dim(lam)) // 2
-        for weight, dvs in classes:
-            cases += len(dvs)
-            deg = _fiber_poly(lam, dvs[0]).degree()
-            if deg is None:
-                continue
-            limit = min(flag_dim(weight) - half_orbit, global_bound)
-            if deg > limit:
-                witnesses.extend({
-                    "lambda": list(lam),
-                    "dimvec": list(dv),
-                    "degree": deg,
-                    "bound": limit,
-                } for dv in dvs)
-    return CheckResult("semismall", cases, witnesses)
+
+    def failures(lam, weight, dv):
+        deg = _fiber_poly(lam, dv).degree()
+        limit = min(flag_dim(weight) - orbit_dim(lam) // 2, (cone - orbit_dim(lam)) // 2)
+        if deg is not None and deg > limit:
+            yield {"degree": deg, "bound": limit}
+
+    return _each_pair("semismall", n, d, 1, failures)
 
 
 def verify_top_components(n: int, d: int) -> CheckResult:
@@ -392,26 +385,14 @@ def verify_top_components(n: int, d: int) -> CheckResult:
     kostka_number(conjugate(lam), dv): it counts the top-dimensional
     components of the fiber piece.
     """
-    witnesses: list[dict] = []
-    cases = 0
-    classes = _dimvec_classes(n, d)
-    for lam in enumerate_partitions(n, d):
-        half_orbit = orbit_dim(lam) // 2
-        shape = conjugate(lam)
-        for weight, dvs in classes:
-            cases += len(dvs)
-            target = flag_dim(weight) - half_orbit
-            got = _fiber_poly(lam, dvs[0]).coeff(target)
-            want = _kostka(shape, weight)
-            if got != want:
-                witnesses.extend({
-                    "lambda": list(lam),
-                    "dimvec": list(dv),
-                    "degree": target,
-                    "left": got,
-                    "right": want,
-                } for dv in dvs)
-    return CheckResult("top_components", cases, witnesses)
+    def failures(lam, weight, dv):
+        target = flag_dim(weight) - orbit_dim(lam) // 2
+        got = _fiber_poly(lam, dv).coeff(target)
+        want = _kostka(conjugate(lam), weight)
+        if got != want:
+            yield {"degree": target, "left": got, "right": want}
+
+    return _each_pair("top_components", n, d, 1, failures)
 
 
 def verify_schur_weyl(n: int, d: int) -> CheckResult:
@@ -423,9 +404,7 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
     witnesses: list[dict] = []
     cases = 0
     # each weight with its number of dvs
-    weights: dict[Partition, int] = {}
-    for weight, dvs in _dimvec_classes(n, d):
-        weights[weight] = weights.get(weight, 0) + len(dvs)
+    weights = Counter(sorted_weight(dv) for dv in enumerate_dimvecs(n, d))
     total = 0
     for P in enumerate_partitions(n, d):
         shape = conjugate(P)

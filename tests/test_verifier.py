@@ -183,6 +183,25 @@ class TestDegreeChecks:
         assert fiber_polynomial((2, 1), (1, 1, 1)).coeff(1) == 2
         assert fiber_polynomial((1, 1, 1), (3, 0)).coeff(0) == 1
 
+    def test_fiber_polynomial_once_per_nonzero_composition(self, monkeypatch):
+        # (4,5): 6 lambdas and 15 nonzero compositions make 90 fiber
+        # polynomials, while each of the 6 * 56 pairs is still a case
+        calls = []
+        fiber_poly = verifier._fiber_poly
+
+        def counted(lam, dv):
+            calls.append((lam, dv))
+            return fiber_poly(lam, dv)
+
+        monkeypatch.setattr(verifier, "_fiber_poly", counted)
+        for n, d, polys, cases in [(4, 5, 90, 336), (3, 5, 55, 105)]:
+            for check in (verify_semismall, verify_top_components):
+                calls.clear()
+                result = check(n, d)
+                assert result.status == "pass"
+                assert result.cases == cases
+                assert len(calls) == len(set(calls)) == polys
+
 
 class TestDimensionChecks:
     def test_schur_weyl_values(self):
