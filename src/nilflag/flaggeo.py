@@ -39,7 +39,7 @@ from .combinatorics import (
     conjugate,
     n_stat,
 )
-from .qpoly import LaurentPoly, gaussian_binomial
+from .qpoly import LaurentPoly, _gauss
 
 DEFAULT_BUDGET = 10**8
 
@@ -286,7 +286,7 @@ def _count_flags(a: FqMatrix, dims: DimVector, bud: Budget) -> int:
     def extensions(v: FqSubspace, k: int):
         # one lift per subspace of the quotient ambient/v
         rest = [j for j in range(d) if j not in v.pivots]
-        bud.charge(gaussian_binomial(len(rest), k)(p))
+        bud.charge(_gauss(len(rest), k)(p))
         for _, srows in _echelon_bases(len(rest), k, p):
             lifted = []
             for srow in srows:
@@ -355,10 +355,10 @@ def _right_pivot_census(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
     first row e_c0 + sum x_j e_j has the most free entries.  Reduced
     against the prefix, it is e_c0 + sum x_j g_j, with g_j = e_j minus
     the prefix row whose right pivot is j, or e_j if there is none; its
-    last nonzero column is U's remaining right pivot.  A Gray odometer
-    walks the p^f choices of x one g_j at a time over base-p words
-    packed into an int, digit j in bits width*j.., so each U costs one
-    fieldwise add mod p and one bit_length.
+    last nonzero column is U's remaining right pivot.  The g_j are packed
+    once per prefix as base-p words in an int, digit j in bits width*j..,
+    and a Gray odometer walks the p^f choices of x one g_j at a time, so
+    each U costs one fieldwise add mod p and one bit_length.
     """
     if not k:
         return {(): 1}
@@ -366,10 +366,7 @@ def _right_pivot_census(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
     ones = sum(1 << (width * j) for j in range(ell))
     high = ones << (width - 1)
     lift = ones * ((1 << (width - 1)) - p)  # carries into a digit's high bit iff it reaches p
-    hits: dict[tuple[int, ...], list[int]] = {}
-
-    def pack(row):
-        return sum(x << (width * j) for j, x in enumerate(row))
+    hits: dict[frozenset[int], list[int]] = {}
 
     def insert(basis, row):
         # the reduced right-echelon basis {right pivot: row} of basis + row
@@ -386,16 +383,17 @@ def _right_pivot_census(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
         return out
 
     def walk(first, lefts, basis):
-        # every first row with its pivot left of the prefix's
-        tally = hits.setdefault(tuple(sorted(basis)), [0] * (width * ell + 1))
-        gen = [1 << (width * j) for j in range(ell)]
-        for r, b in basis.items():
-            # e_r - b, where b is 1 at r
-            gen[r] = pack(0 if j == r else -x % p for j, x in enumerate(b))
+        # every first row with its pivot c0 left of first; as every left
+        # pivot of the prefix lies at or right of first, the g_j for the
+        # columns past c0 not in lefts are the suffix free[c0 + 1:]
+        tally = hits.setdefault(frozenset(basis), [0] * (width * ell + 1))
+        free = [sum((-x % p) << (width * i) for i, x in enumerate(basis[j]) if i != j)
+                if j in basis else 1 << (width * j)
+                for j in range(ell) if j not in lefts]
         for c0 in range(first):
-            gens = [gen[j] for j in range(c0 + 1, ell) if j not in lefts]
             v = 1 << (width * c0)
             tally[v.bit_length()] += 1
+            gens = free[c0 + 1:]
             for j in _gray_steps(len(gens), p):
                 s = v + gens[j]
                 v = s - (((s + lift) & high) >> (width - 1)) * p
@@ -420,7 +418,7 @@ def _right_pivot_census(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
     for prefix, tally in hits.items():
         for bits, count in enumerate(tally):
             if count:
-                pivots = tuple(sorted(prefix + ((bits - 1) // width,)))
+                pivots = tuple(sorted((*prefix, (bits - 1) // width)))
                 census[pivots] = census.get(pivots, 0) + count
     return census
 
@@ -443,7 +441,7 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     if hit is not None:
         return hit
     ell = len(lam)
-    budget.charge(gaussian_binomial(ell, d1)(p))
+    budget.charge(_gauss(ell, d1)(p))
     cols = conjugate(lam)
     counts: dict[Partition, int] = {}
     for pivots, count in _right_pivot_census(ell, d1, p).items():
@@ -507,15 +505,12 @@ def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> i
     """The count of fiber_count for a valid instance."""
     dims = _nonzero(dimvec)
     memo = budget.memo.setdefault(p, {})
-    hit = memo.get((lam, dims))
-    if hit is not None:
-        return hit
 
     def tally(lam, d1):
         if not lam or lam[0] == 1:
             # a = 0: every d1-subspace leaves type 1^(d-d1); none is enumerated
             d = len(lam)
-            return (((1,) * (d - d1), gaussian_binomial(d, d1)(p)),)
+            return (((1,) * (d - d1), _gauss(d, d1)(p)),)
         return _kernel_quotient_tally(lam, d1, p, budget)
 
     return _named(lam, dimvec, p, _flag_sum, lam, dims, tally, memo)
@@ -543,7 +538,7 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
         g_poly = LaurentPoly.one()
         shift = base - n_stat(mu)
         for g, b in zip(gaps, taken):
-            g_poly = g_poly * gaussian_binomial(g, b)
+            g_poly = g_poly * _gauss(g, b)
             shift -= b * (g - b)
         out.append((mu, g_poly.shift(shift)))
     return tuple(out)

@@ -209,7 +209,11 @@ def word_charge(word) -> int:
     for a, b in zip(multiplicities, multiplicities[1:]):
         if a < b:
             raise ValueError(f"word content is not a partition: {multiplicities}")
+    return _charge(w)
 
+
+def _charge(w: list[int]) -> int:
+    """word_charge of a valid word given as a list, which it empties."""
     total = 0
     while w:
         biggest = max(w)
@@ -237,7 +241,7 @@ def charge(t) -> int:
 
 @cache
 def _kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
-    counts = Counter(charge(t) for t in enumerate_ssyt(shape, weight))
+    counts = Counter(_charge(list(reading_word(t))) for t in enumerate_ssyt(shape, weight))
     return LaurentPoly(counts)
 
 
@@ -263,6 +267,7 @@ def modified_kostka_foulkes(shape, weight) -> LaurentPoly:
     return _modified_kostka_foulkes(shape, weight)
 
 
+@cache
 def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
     top = n_stat(weight)
     return LaurentPoly({top - e: c for e, c in _kostka_foulkes(shape, weight)._c.items()})

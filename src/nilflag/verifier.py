@@ -133,26 +133,21 @@ def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") ->
 def _character_side(n: int, d: int, convention: str):
     """trace_identity_rhs as a function of (lam, sorted weight), for one run.
 
-    Each Kostka number _kostka(shape(P), weight) is read once per
-    (P, weight) and each modified charge polynomial once per (P, lam);
-    a right side is one coefficient sum, shifted as it is summed.
+    Kostka numbers and modified charge polynomials come from their cached
+    bodies; a right side is one coefficient sum, shifted as it is summed.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) if convention == "standard" else P for P in parts}
     base = n_stat((1,) * d)
-    mults: dict[Partition, list[tuple[Partition, int]]] = {}
-    charge_terms: dict[tuple[Partition, Partition], list[tuple[int, int]]] = {}
 
     def rhs(lam: Partition, weight: Partition) -> LaurentPoly:
-        if weight not in mults:
-            mults[weight] = [(P, m) for P in parts if (m := _kostka(shapes[P], weight))]
         shift = flag_dim(weight) - base
         coeffs: dict[int, int] = {}
-        for P, m in mults[weight]:
-            if (P, lam) not in charge_terms:
-                charge_terms[P, lam] = _modified_kostka_foulkes(P, lam).items()
-            for e, c in charge_terms[P, lam]:
-                coeffs[e + shift] = coeffs.get(e + shift, 0) + m * c
+        for P in parts:
+            m = _kostka(shapes[P], weight)
+            if m:
+                for e, c in _modified_kostka_foulkes(P, lam).items():
+                    coeffs[e + shift] = coeffs.get(e + shift, 0) + m * c
         return LaurentPoly(coeffs)
 
     return rhs

@@ -28,11 +28,14 @@ coordinates c.. grows by one elimination of the rows from the right, per
 subspace; the tests compare the package's leaf-walk census with it.
 right_pivots_by_rref reads the same columns from the reduced row echelon
 form of the reversed rows, as a check on right_pivots.
+right_pivot_cell_sizes gives the census in closed form, the size of each
+right-echelon cell, for keys past the reach of one elimination per
+subspace.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from nilflag.combinatorics import (
     Partition,
@@ -156,6 +159,13 @@ def right_pivots_by_rref(rows, p: int) -> list[int]:
         return []
     m = len(rows[0])
     return [m - 1 - j for j in _rref([row[::-1] for row in rows], p)[0]]
+
+
+def right_pivot_cell_sizes(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
+    """The k-subspaces of F_p^ell counted by their right pivots J: the row
+    with right pivot J[i] is free in the J[i] - i columns left of it and
+    outside J, so each pivot set holds p^sum(J[i] - i) subspaces."""
+    return {J: p ** sum(j - i for i, j in enumerate(J)) for J in combinations(range(ell), k)}
 
 
 def _matmul(a, b, p: int):

@@ -124,3 +124,25 @@ def test_no_input_checks_per_case(monkeypatch):
     pairs = len(enumerate_partitions(3, 5)) * len(enumerate_dimvecs(3, 5))
     assert calls["check_prime"] > 0
     assert max(calls.values()) < pairs, calls
+
+
+def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
+    # a run calls the unchecked bodies; the checked names behind the
+    # boundary are never reached, even with the caches cold
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called inside a run")
+        return call
+
+    for module in (nilflag, combinatorics, flaggeo, qpoly, verifier):
+        for name in ("word_charge", "charge", "gaussian_binomial", "kostka_number",
+                     "kostka_foulkes", "modified_kostka_foulkes", "fiber_count",
+                     "fiber_polynomial"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused(name))
+    for cached in (qpoly._kostka_foulkes, qpoly._modified_kostka_foulkes, qpoly._gauss,
+                   flaggeo._strip_tally):
+        cached.cache_clear()
+    monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
+    for mode in ("polynomial", "numeric"):
+        assert verifier.run_suite(3, 5, mode=mode).ok, mode

@@ -43,6 +43,7 @@ from oracles import (
     mul,
     quotient_type,
     rank,
+    right_pivot_cell_sizes,
     right_pivots,
     right_pivots_by_rref,
     transpose,
@@ -254,6 +255,13 @@ def test_right_pivot_census_against_elimination():
                 assert _right_pivot_census(ell, k, p) == oracle, (ell, k, p)
                 censuses += 1
     assert censuses == 88
+
+
+def test_right_pivot_census_on_short_walks():
+    # keys where a first-row walk covers few subspaces, past the reach of
+    # the elimination oracle; the census still visits every U
+    for ell, k, p in [(8, 4, 2), (8, 5, 2), (7, 3, 3)]:
+        assert _right_pivot_census(ell, k, p) == right_pivot_cell_sizes(ell, k, p), (ell, k, p)
 
 
 def test_right_pivots_against_reversed_rref():
