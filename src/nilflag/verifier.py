@@ -1,19 +1,19 @@
 """Executable identity suites over the flag-count data, as plain data.
 
 Each check compares two independently computed sides of an exact
-identity: fiber-count polynomials from the vertical-strip Hall
-recursion on one side, charge q-analogs and weight multiplicities on the
-other.  The run's primes (2 and 3 unless given) are where flags are
-counted by enumeration over F_q: numeric mode compares those counts with
-the character side, and polynomial mode checks the fiber polynomials
-against them.  The three checks over (lam, dv) pairs run through one
-helper, _each_pair, which computes each side once per nonzero
-composition, the key on which fibers are memoized, and reports the
-comparison for every dv of it.  Every check returns a
-CheckResult with pass/fail/skipped status and failure witnesses; a
-VerificationReport bundles them with the run parameters.  Both turn
-into plain dicts with as_dict; writing them as JSON is the command
-line's job.
+identity: fiber-count polynomials from the vertical-strip Hall recursion
+on one side, charge q-analogs and weight multiplicities on the other.
+Flags are counted over F_q at the run's primes (2 and 3 unless given):
+numeric mode compares those counts with the character side, and
+polynomial mode checks the fiber polynomials against them.  The three
+checks over (lam, dv) pairs run through _each_pair, which compares the
+sides once per nonzero composition, the key on which fibers are
+memoized, and reports every dv of it.  The trace identity's right side,
+the stalk solve and its consistency check share _orbit_sum, stalk traces
+weighted by Kostka numbers.  Every check returns a CheckResult with
+pass/fail/skipped status and failure witnesses; a VerificationReport
+bundles them with the run parameters.  Both turn into plain dicts with
+as_dict; the command line writes them as JSON.
 """
 
 from __future__ import annotations
@@ -133,24 +133,32 @@ def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") ->
 def _character_side(n: int, d: int, convention: str):
     """trace_identity_rhs as a function of (lam, sorted weight), for one run.
 
-    Kostka numbers and modified charge polynomials come from their cached
-    bodies; a right side is one coefficient sum, shifted as it is summed.
+    A right side is the orbit sum of the modified charge polynomials at
+    lam, read from their cached bodies and shifted as it is summed.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) if convention == "standard" else P for P in parts}
     base = n_stat((1,) * d)
 
     def rhs(lam: Partition, weight: Partition) -> LaurentPoly:
-        shift = flag_dim(weight) - base
-        coeffs: dict[int, int] = {}
-        for P in parts:
-            m = _kostka(shapes[P], weight)
-            if m:
-                for e, c in _modified_kostka_foulkes(P, lam).items():
-                    coeffs[e + shift] = coeffs.get(e + shift, 0) + m * c
-        return LaurentPoly(coeffs)
+        stalks = {P: _modified_kostka_foulkes(P, lam) for P in parts}
+        return _orbit_sum(stalks, shapes, weight, flag_dim(weight) - base)
 
     return rhs
+
+
+def _orbit_sum(stalks: dict, shapes: dict, weight: Partition, shift: int = 0) -> LaurentPoly:
+    """q^shift * the sum over P in stalks of stalks[P] * kostka(shapes[P], weight).
+
+    Each orbit's stalk trace times the weight's multiplicity in its module.
+    """
+    coeffs: dict[int, int] = {}
+    for P, stalk in stalks.items():
+        m = _kostka(shapes[P], weight)
+        if m:
+            for e, c in stalk.items():
+                coeffs[e + shift] = coeffs.get(e + shift, 0) + m * c
+    return LaurentPoly(coeffs)
 
 
 def _dimvec_classes(n: int, d: int) -> list[tuple[Partition, list[DimVector]]]:
@@ -251,18 +259,18 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
 
     For each lam, the equations over all dimension vectors dv read
     q^(-flag_dim(dv)) * fiber_polynomial(lam, dv) =
-    sum over P of t_P(lam) * kostka_number(conjugate(P), dv).  The rows
-    at dv = conjugate(P), one per P, are unitriangular and determine the
-    unique solution; every remaining equation is then checked, and
-    failure raises StalkConsistencyError.  Both sides of an equation
-    depend on dv only through its class in _dimvec_classes, so each
-    class is checked once, at its first dv, against a prediction built
-    once per weight.
+    sum over P of t_P(lam) * kostka_number(conjugate(P), dv), the orbit
+    sum.  The rows at dv = conjugate(P), one per P, are unitriangular
+    and determine the unique solution; every remaining equation is then
+    checked, and failure raises StalkConsistencyError.  Both sides depend
+    on dv only through its class in _dimvec_classes, so each class is
+    checked once, at its first dv, against an orbit sum per weight.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) for P in parts}
     order = sorted(parts, key=lambda P: shapes[P], reverse=True)
     classes = _dimvec_classes(n, d)
+    weights = {weight for weight, _ in classes}
 
     table: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
@@ -271,30 +279,18 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
         normalized = {_nonzero(dvs[0]): _fiber_poly(lam, dvs[0]).shift(-flag_dim(weight))
                       for weight, dvs in classes}
         solved: dict[Partition, LaurentPoly] = {}
-        for i, P in enumerate(order):
-            acc = normalized[shapes[P]]
-            for Q in order[:i]:
-                m = _kostka(shapes[Q], shapes[P])
-                if m:
-                    acc = acc - solved[Q] * m
-            # the diagonal multiplicity kostka(conj P, mu_P) is 1
-            solved[P] = acc
-        predictions: dict[Partition, LaurentPoly] = {}
+        for P in order:
+            # kostka(conj P, conj P) = 1, and each Q after P in order has
+            # multiplicity 0 at conj P: the Q solved so far make up the sum
+            solved[P] = normalized[shapes[P]] - _orbit_sum(solved, shapes, shapes[P])
+        predictions = {weight: _orbit_sum(solved, shapes, weight) for weight in weights}
         for weight, dvs in classes:
-            if weight not in predictions:
-                predicted = LaurentPoly()
-                for P in parts:
-                    m = _kostka(shapes[P], weight)
-                    if m:
-                        predicted = predicted + solved[P] * m
-                predictions[weight] = predicted
             predicted, actual = predictions[weight], normalized[_nonzero(dvs[0])]
             if predicted != actual:
                 raise StalkConsistencyError(
                     f"stalk system inconsistent at lam={lam}, dv={dvs[0]}: "
                     f"{predicted.to_text()} != {actual.to_text()}")
-        for P in parts:
-            table[P, lam] = solved[P]
+        table.update(((P, lam), stalk) for P, stalk in solved.items())
     return table
 
 
@@ -305,13 +301,12 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, dict | None]:
     t_P(P) = q^(-orbit_dim(P)/2).
     """
     witnesses: list[dict] = []
-    cases = 0
+    parts = enumerate_partitions(n, d)
+    cases = len(parts) * len(enumerate_dimvecs(n, d))  # consistency equations
     try:
         table = bootstrap_stalks(n, d)
     except ValueError as exc:
         return CheckResult("stalk_bootstrap", 0, [{"error": str(exc)}]), None
-    parts = enumerate_partitions(n, d)
-    cases += len(parts) * len(enumerate_dimvecs(n, d))  # consistency equations
     for P in parts:
         for lam in parts:
             entry = table[P, lam]
@@ -363,10 +358,11 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     deg <= (nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
     """
     cone = nilcone_dim(n, d)
+    dims = {lam: orbit_dim(lam) for lam in enumerate_partitions(n, d)}
 
     def failures(lam, weight, dv):
         deg = _fiber_poly(lam, dv).degree()
-        limit = min(flag_dim(weight) - orbit_dim(lam) // 2, (cone - orbit_dim(lam)) // 2)
+        limit = min(flag_dim(weight) - dims[lam] // 2, (cone - dims[lam]) // 2)
         if deg is not None and deg > limit:
             yield {"degree": deg, "bound": limit}
 
@@ -380,10 +376,13 @@ def verify_top_components(n: int, d: int) -> CheckResult:
     kostka_number(conjugate(lam), dv): it counts the top-dimensional
     components of the fiber piece.
     """
+    tops = {lam: (orbit_dim(lam) // 2, conjugate(lam)) for lam in enumerate_partitions(n, d)}
+
     def failures(lam, weight, dv):
-        target = flag_dim(weight) - orbit_dim(lam) // 2
+        half, shape = tops[lam]
+        target = flag_dim(weight) - half
         got = _fiber_poly(lam, dv).coeff(target)
-        want = _kostka(conjugate(lam), weight)
+        want = _kostka(shape, weight)
         if got != want:
             yield {"degree": target, "left": got, "right": want}
 

@@ -81,6 +81,16 @@ def test_criterion_01_oracle_equivalence():
     )
 
 
+def test_oracle_equivalence_at_d_5():
+    # criterion 01's check one size up, at p = 2, on the nonzero compositions of 5
+    compositions = [dv for k in range(1, 6) for dv in enumerate_dimvecs(k, 5) if all(dv)]
+    instances = [(lam, dv) for lam in enumerate_partitions(5, 5) for dv in compositions]
+    assert len(instances) == 7 * 16
+    mismatches = [(lam, dv) for lam, dv in instances
+                  if fiber_count(lam, dv, 2) != fiber_count_brute(lam, dv, 2)]
+    assert not mismatches
+
+
 def test_criterion_02_trace_identity_polynomial(grid_reports):
     reports, elapsed = grid_reports
     failures = []

@@ -1,6 +1,7 @@
 """Input is checked at the package boundary and nowhere behind it."""
 
 from collections import Counter
+from functools import partial
 from types import ModuleType
 
 import pytest
@@ -70,7 +71,15 @@ REJECTED = {
     "modified_kostka_foulkes sizes differ": lambda: nilflag.modified_kostka_foulkes(
         (2, 1), (2,)),
     "verify_trace_identity mode": lambda: nilflag.verify_trace_identity(2, 2, mode="exact"),
+    "verify_young_rule d=0": lambda: nilflag.verify_young_rule(0),
 }
+# each export over (n, d) refuses n = 0 and d = 0 rather than report a failed check
+REJECTED.update({
+    f"{name} n={n} d={d}": partial(getattr(nilflag, name), n, d)
+    for name in ("verify_trace_identity", "verify_semismall", "verify_top_components",
+                 "verify_schur_weyl", "verify_stalk_bootstrap", "bootstrap_stalks")
+    for n, d in ((0, 3), (3, 0))
+})
 
 # exported names that take none of the three
 TAKES_NONE = {
