@@ -18,17 +18,18 @@ every m-subspace leaves type 1^(d-m), in [d; m]_p ways, and nothing is
 enumerated; otherwise each U is visited in the kernel's own coordinates
 and the quotient type is read from U's right pivots, with no matrix
 built.  _right_pivot_census walks the U as leaves of their echelon rows:
-the rows below the first are eliminated once per prefix, and the first
-row's choices cost one packed add mod p each.  For the polynomial in q,
-the tally is its closed form, the vertical-strip Hall polynomials, and
-no field is needed.  Both routes at p charge the Budget for each batch
-of subspaces, [m; k]_p, before they enumerate it.
+one Gray odometer walks every row's choices at one packed add mod p
+each, and each lower row joins the prefix's packed basis through a
+table of its multiples.  For the polynomial in q, the tally is its
+closed form, the vertical-strip Hall polynomials, and no field is
+needed.  Both routes at p charge the Budget for each batch of
+subspaces, [m; k]_p, before they enumerate it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product, repeat
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -349,69 +350,68 @@ def _right_pivot_census(ell: int, k: int, p: int) -> dict[tuple[int, ...], int]:
     """The k-subspaces U of F_p^ell counted by their right pivots, the
     columns where the rank of U's coordinates c.. grows as c falls.
 
-    U is visited once per RREF basis, rows chosen from the last up: each
-    row below the first is added to the reduced right-echelon basis of
-    the rows below it, so that elimination runs once per prefix.  The
-    first row e_c0 + sum x_j e_j has the most free entries.  Reduced
-    against the prefix, it is e_c0 + sum x_j g_j, with g_j = e_j minus
-    the prefix row whose right pivot is j, or e_j if there is none; its
-    last nonzero column is U's remaining right pivot.  The g_j are packed
-    once per prefix as base-p words in an int, digit j in bits width*j..,
-    and a Gray odometer walks the p^f choices of x one g_j at a time, so
-    each U costs one fieldwise add mod p and one bit_length.
+    U is visited once per RREF basis, rows chosen from the last up.  The
+    row with pivot c, reduced against the rows below it, is e_c + sum x_j
+    g_j over the columns j past c that are no lower row's pivot, with g_j
+    = e_j minus the lower row whose right pivot is j, or e_j if there is
+    none; its last nonzero column is its right pivot.  Each prefix keeps
+    its g_j by right pivot, packed as base-p words in an int, digit j in
+    bits width*j.., and a Gray odometer walks the p^f choices of x one
+    g_j at a time: one fieldwise add mod p per choice, which then joins
+    the basis, or, in the first row, is a U tallied by one bit_length.
     """
     if not k:
         return {(): 1}
     width = (p - 1).bit_length() + 1  # a digit sum below 2p fits, with a bit to spare
+    mask = (1 << width) - 1
     ones = sum(1 << (width * j) for j in range(ell))
     high = ones << (width - 1)
     lift = ones * ((1 << (width - 1)) - p)  # carries into a digit's high bit iff it reaches p
     hits: dict[frozenset[int], list[int]] = {}
 
-    def insert(basis, row):
-        # the reduced right-echelon basis {right pivot: row} of basis + row
-        for r, b in basis.items():
-            x = row[r]
-            if x:
-                row = [(s - x * t) % p for s, t in zip(row, b)]
-        top = max(j for j, x in enumerate(row) if x)
-        inv = pow(row[top], p - 2, p)
-        row = [x * inv % p for x in row]
-        out = {r: [(s - b[top] * t) % p for s, t in zip(b, row)] if b[top] else b
-               for r, b in basis.items()}
-        out[top] = row
+    def add(x, y):  # digitwise x + y mod p
+        s = x + y
+        return s - (((s + lift) & high) >> (width - 1)) * p
+
+    def insert(basis, v):
+        # the g_j of basis + v, for v reduced against basis: v's top digit a
+        # sits at its right pivot t, each g_j loses (g_j[t] / a) v, taken
+        # from the multiples of v, and g_t = e_t - v / a
+        t = (v.bit_length() - 1) // width
+        inv = pow(v >> (width * t), p - 2, p)
+        times = list(accumulate(repeat(v, p - 1), add, initial=0))
+        out = {}
+        for j, g in basis.items():
+            x = (g >> (width * t)) & mask
+            out[j] = add(g, times[-x * inv % p]) if x else g
+        out[t] = add(1 << (width * t), times[-inv % p])
         return out
 
-    def walk(first, lefts, basis):
-        # every first row with its pivot c0 left of first; as every left
-        # pivot of the prefix lies at or right of first, the g_j for the
-        # columns past c0 not in lefts are the suffix free[c0 + 1:]
-        tally = hits.setdefault(frozenset(basis), [0] * (width * ell + 1))
-        free = [sum((-x % p) << (width * i) for i, x in enumerate(basis[j]) if i != j)
-                if j in basis else 1 << (width * j)
-                for j in range(ell) if j not in lefts]
-        for c0 in range(first):
-            v = 1 << (width * c0)
-            tally[v.bit_length()] += 1
-            gens = free[c0 + 1:]
-            for j in _gray_steps(len(gens), p):
-                s = v + gens[j]
-                v = s - (((s + lift) & high) >> (width - 1)) * p
-                tally[v.bit_length()] += 1
-
     def place(i, first, lefts, basis):
-        # rows i.. are chosen; row i - 1 takes a pivot left of first
+        # rows i.. are chosen; row i - 1 takes a pivot c left of first, and
+        # as every pivot in lefts lies at or right of first, the g_j of the
+        # columns past c not in lefts are the suffix free[c + 1:]
+        free = [basis.get(j, 1 << (width * j)) for j in range(ell) if j not in lefts]
         if i == 1:
-            walk(first, lefts, basis)
+            tally = hits.setdefault(frozenset(basis), [0] * (width * ell + 1))
+            for c0 in range(first):
+                v = 1 << (width * c0)
+                tally[v.bit_length()] += 1
+                gens = free[c0 + 1:]
+                for j in _gray_steps(len(gens), p):
+                    # add(v, gens[j]), inlined: this runs once per U
+                    s = v + gens[j]
+                    v = s - (((s + lift) & high) >> (width - 1)) * p
+                    tally[v.bit_length()] += 1
             return
         for c in range(i - 1, first):
-            free = [j for j in range(c + 1, ell) if j not in lefts]
-            for values in product(range(p), repeat=len(free)):
-                row = [0] * ell
-                row[c] = 1
-                for j, x in zip(free, values):
-                    row[j] = x
-                place(i - 1, c, lefts | {c}, insert(basis, row))
+            v = 1 << (width * c)
+            below = lefts | {c}
+            gens = free[c + 1:]
+            place(i - 1, c, below, insert(basis, v))
+            for j in _gray_steps(len(gens), p):
+                v = add(v, gens[j])
+                place(i - 1, c, below, insert(basis, v))
 
     place(k, ell, frozenset(), {})
     census: dict[tuple[int, ...], int] = {}

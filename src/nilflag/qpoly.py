@@ -39,10 +39,6 @@ class LaurentPoly:
         self._c = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 

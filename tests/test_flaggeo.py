@@ -264,6 +264,14 @@ def test_right_pivot_census_on_short_walks():
         assert _right_pivot_census(ell, k, p) == right_pivot_cell_sizes(ell, k, p), (ell, k, p)
 
 
+def test_right_pivot_census_at_wide_digits():
+    # p = 11 and 13 pack 5-bit digits and build 11- and 13-entry multiples
+    # tables; with two or more rows below the first, a row joining the
+    # basis clears non-unit digits of the rows already in it
+    for ell, k, p in [(4, 3, 13), (5, 4, 11)]:
+        assert _right_pivot_census(ell, k, p) == right_pivot_cell_sizes(ell, k, p), (ell, k, p)
+
+
 def test_right_pivots_against_reversed_rref():
     # the two test oracles against each other on every k-subspace of
     # F_p^m, m <= 4, by its echelon basis and by a shuffled basis padded
