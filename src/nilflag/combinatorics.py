@@ -6,7 +6,9 @@ tableau shape and a highest weight.  Dimension vectors are fixed-length
 tuples of non-negative integers recording the jumps of a partial flag.
 Both use the canonical text form "2,1" (comma-separated integers).
 
-All counts here fit comfortably in Python ints, which never wrap.
+A semistandard tableau is a chain of horizontal strips, one per letter,
+and tableaux, Kostka numbers and flaggeo's Hall tally walk the strips
+that _strips lists.  Counts are Python ints, which never wrap.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def format_parts(parts) -> str:
 def enumerate_partitions(n: int, d: int) -> list[Partition]:
     """All partitions of d with parts at most n, lexicographically decreasing."""
     if n < 1 or d < 1:
-        raise ValueError("enumerate_partitions needs n >= 1 and d >= 1")
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     out: list[Partition] = []
 
     def rec(remaining: int, biggest: int, prefix: list[int]) -> None:
@@ -152,7 +154,7 @@ def nilcone_dim(n: int, d: int) -> int:
     parts at most n (k full parts of size n plus one remainder part).
     """
     if n < 1 or d < 1:
-        raise ValueError("nilcone_dim needs n >= 1 and d >= 1")
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     k, r = divmod(d, n)
     top = (n,) * k + ((r,) if r else ())
     return orbit_dim(top)
@@ -161,7 +163,7 @@ def nilcone_dim(n: int, d: int) -> int:
 def enumerate_dimvecs(n: int, d: int) -> list[DimVector]:
     """All n-tuples of non-negative integers summing to d, lex decreasing."""
     if n < 1 or d < 1:
-        raise ValueError("enumerate_dimvecs needs n >= 1 and d >= 1")
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     out: list[DimVector] = []
 
     def rec(slots: int, remaining: int, prefix: list[int]) -> None:
@@ -183,12 +185,34 @@ def flag_dim(dv: DimVector) -> int:
     return (total * total - sum(x * x for x in dv)) // 2
 
 
+@cache
+def _strips(outer: Partition, size: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """Each horizontal strip outer/inner of size boxes as (inner, taken), in lex
+    order of taken: row i of the valid outer gives up its last taken[i] <=
+    outer[i] - outer[i+1] boxes, so no two share a column (Macdonald, I §1)."""
+    if not outer:
+        return (((), ()),) if size == 0 else ()
+    head, rest = outer[0], outer[1:]
+    gap = head - (rest[0] if rest else 0)
+    return tuple(((head - b,) + inner if b < head else inner, (b,) + taken)
+                 for b in range(min(gap, size) + 1) for inner, taken in _strips(rest, size - b))
+
+
+def _ssyt(shape: Partition, weight: tuple[int, ...]) -> list[Tableau]:
+    """Tableaux of a valid shape and content of equal size: the last letter
+    fills a horizontal strip, and a tableau of the strip's inner shape the rest."""
+    if not weight or len(shape) > len(weight):  # a column holds distinct letters
+        return [] if shape else [()]
+    return [tuple(row + (len(weight),) * b for row, b in zip(t + ((),) * len(taken), taken))
+            for inner, taken in _strips(shape, weight[-1]) for t in _ssyt(inner, weight[:-1])]
+
+
 def enumerate_ssyt(shape, content) -> list[Tableau]:
     """All semistandard tableaux of the given shape and content.
 
     Content is a composition: entry i is the multiplicity of the letter
     i+1 (zeros allowed).  Rows weakly increase, columns strictly
-    increase.  Tableaux come out ordered by their row-reading word.
+    increase.  Tableaux come out sorted by their rows, top row first.
     """
     shape = check_partition(shape)
     weight = tuple(int(x) for x in content)
@@ -196,33 +220,7 @@ def enumerate_ssyt(shape, content) -> list[Tableau]:
         raise ValueError(f"content multiplicities must be non-negative: {weight}")
     if sum(shape) != sum(weight):
         raise ValueError("shape size and content total differ")
-    if not shape:
-        return [()]
-
-    nletters = len(weight)
-    remaining = list(weight)
-    rows = [[0] * width for width in shape]
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    found: list[Tableau] = []
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            found.append(tuple(tuple(row) for row in rows))
-            return
-        r, c = cells[idx]
-        lo = rows[r][c - 1] if c else 1
-        if r and rows[r - 1][c] >= lo:
-            lo = rows[r - 1][c] + 1
-        for v in range(lo, nletters + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                rows[r][c] = v
-                fill(idx + 1)
-                remaining[v - 1] += 1
-        rows[r][c] = 0
-
-    fill(0)
-    return found
+    return sorted(_ssyt(shape, weight))
 
 
 def sorted_weight(content) -> Partition:
@@ -235,7 +233,9 @@ def sorted_weight(content) -> Partition:
 
 @cache
 def _kostka(shape: Partition, weight: Partition) -> int:
-    return len(enumerate_ssyt(shape, weight))
+    if not weight or len(shape) > len(weight):  # a column holds distinct letters
+        return int(not shape)
+    return sum(_kostka(inner, weight[:-1]) for inner, _ in _strips(shape, weight[-1]))
 
 
 def kostka_number(shape, content) -> int:
@@ -245,7 +245,7 @@ def kostka_number(shape, content) -> int:
     multiplicities, so arbitrary dimension vectors are accepted.
     """
     shape = check_partition(shape)
-    weight = sorted_weight(int(x) for x in content)
+    weight = sorted_weight(check_dimvec(content))
     if sum(shape) != sum(weight):
         raise ValueError("shape size and content total differ")
     return _kostka(shape, weight)

@@ -35,6 +35,7 @@ from typing import NamedTuple
 from .combinatorics import (
     DimVector,
     Partition,
+    _strips,
     check_dimvec,
     check_partition,
     conjugate,
@@ -524,17 +525,15 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
     of type lam, such that a induces type mu on the quotient by U
     (Macdonald, Symmetric Functions and Hall Polynomials, II (4.6)):
     q^(n(lam)-n(mu)-n(1^m)) * prod_i [lam'_i-lam'_{i+1} choose lam'_i-mu'_i]_(1/q).
-    A strip takes b_i <= lam'_i - lam'_{i+1} boxes from the foot of
-    column i, and [g choose b]_(1/q) = q^(-b(g-b)) [g choose b]_q.
+    The conjugate lam'/mu' is a horizontal strip: b_i <= lam'_i - lam'_{i+1} boxes
+    leave the foot of column i, and [g choose b]_(1/q) = q^(-b(g-b)) [g choose b]_q.
     """
     cols = conjugate(lam)
     gaps = [c - nxt for c, nxt in zip(cols, cols[1:] + (0,))]
     base = n_stat(lam) - m * (m - 1) // 2
     out = []
-    for taken in product(*(range(g + 1) for g in gaps)):
-        if sum(taken) != m:
-            continue
-        mu = conjugate(tuple(c - b for c, b in zip(cols, taken) if c > b))
+    for inner, taken in _strips(cols, m):
+        mu = conjugate(inner)
         g_poly = LaurentPoly.one()
         shift = base - n_stat(mu)
         for g, b in zip(gaps, taken):

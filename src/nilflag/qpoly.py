@@ -18,8 +18,8 @@ from functools import cache
 from .combinatorics import (
     Partition,
     Tableau,
+    _ssyt,
     check_partition,
-    enumerate_ssyt,
     n_stat,
 )
 
@@ -237,7 +237,7 @@ def charge(t) -> int:
 
 @cache
 def _kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
-    counts = Counter(_charge(list(reading_word(t))) for t in enumerate_ssyt(shape, weight))
+    counts = Counter(_charge(list(reading_word(t))) for t in _ssyt(shape, weight))
     return LaurentPoly(counts)
 
 

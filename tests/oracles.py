@@ -31,6 +31,10 @@ form of the reversed rows, as a check on right_pivots.
 right_pivot_cell_sizes gives the census in closed form, the size of each
 right-echelon cell, for keys past the reach of one elimination per
 subspace.
+
+ssyt_by_cells fills a shape cell by cell, row by row, with every letter
+the row to its left and the column above allow; the tests compare the
+package's strip-by-strip tableaux and Kostka numbers with it.
 """
 
 from fractions import Fraction
@@ -39,6 +43,7 @@ from itertools import combinations, permutations
 
 from nilflag.combinatorics import (
     Partition,
+    Tableau,
     check_partition,
     conjugate,
     enumerate_partitions,
@@ -360,3 +365,34 @@ def lusztig_kostka_foulkes(lam, mu) -> LaurentPoly:
         beta = tuple(lam_rho[j] - m for j, m in zip(perm, mu_rho))
         total = total + _kostant(beta) * _sign(perm)
     return total
+
+
+def ssyt_by_cells(shape: Partition, content) -> list[Tableau]:
+    """Semistandard tableaux of a valid shape and content of equal size,
+    in lexicographic order of their rows, top row first."""
+    if not shape:
+        return [()]
+    nletters = len(content)
+    remaining = list(content)
+    rows = [[0] * width for width in shape]
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
+    found: list[Tableau] = []
+
+    def fill(idx: int) -> None:
+        if idx == len(cells):
+            found.append(tuple(tuple(row) for row in rows))
+            return
+        r, c = cells[idx]
+        lo = rows[r][c - 1] if c else 1
+        if r and rows[r - 1][c] >= lo:
+            lo = rows[r - 1][c] + 1
+        for v in range(lo, nletters + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                rows[r][c] = v
+                fill(idx + 1)
+                remaining[v - 1] += 1
+        rows[r][c] = 0
+
+    fill(0)
+    return found

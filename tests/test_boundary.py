@@ -57,8 +57,6 @@ MALFORMED = {
 
 # other malformed input that the boundary rejects, one call each
 REJECTED = {
-    "nilcone_dim n=0": lambda: nilflag.nilcone_dim(0, 2),
-    "enumerate_dimvecs n=0": lambda: nilflag.enumerate_dimvecs(0, 2),
     "enumerate_ssyt sizes differ": lambda: nilflag.enumerate_ssyt((2, 1), (1, 1)),
     "schur_dim n=0": lambda: nilflag.schur_dim((2, 1), 0),
     "span of no rows": lambda: nilflag.FqSubspace.span([], 2),
@@ -73,12 +71,20 @@ REJECTED = {
     "verify_trace_identity mode": lambda: nilflag.verify_trace_identity(2, 2, mode="exact"),
     "verify_young_rule d=0": lambda: nilflag.verify_young_rule(0),
 }
-# each export over (n, d) refuses n = 0 and d = 0 rather than report a failed check
-REJECTED.update({
-    f"{name} n={n} d={d}": partial(getattr(nilflag, name), n, d)
+# each export over (n, d) refuses n = 0 and d = 0 rather than report a failed
+# check, and the refusal names the values: case -> (name, n, d)
+ND_REFUSALS = {
+    f"{name} n={n} d={d}": (name, n, d)
     for name in ("verify_trace_identity", "verify_semismall", "verify_top_components",
                  "verify_schur_weyl", "verify_stalk_bootstrap", "bootstrap_stalks")
     for n, d in ((0, 3), (3, 0))
+}
+ND_REFUSALS.update({
+    "nilcone_dim n=0": ("nilcone_dim", 0, 2),
+    "enumerate_dimvecs n=0": ("enumerate_dimvecs", 0, 2),
+})
+REJECTED.update({
+    case: partial(getattr(nilflag, name), n, d) for case, (name, n, d) in ND_REFUSALS.items()
 })
 
 # exported names that take none of the three
@@ -107,6 +113,13 @@ def test_exports_reject_malformed_input(name):
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_boundary_rejects(case):
     with pytest.raises(ValueError):
+        REJECTED[case]()
+
+
+@pytest.mark.parametrize("case", sorted(ND_REFUSALS))
+def test_nd_refusals_name_the_values(case):
+    _, n, d = ND_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"got n={n}, d={d}$"):
         REJECTED[case]()
 
 
@@ -144,13 +157,13 @@ def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
         return call
 
     for module in (nilflag, combinatorics, flaggeo, qpoly, verifier):
-        for name in ("word_charge", "charge", "gaussian_binomial", "kostka_number",
-                     "kostka_foulkes", "modified_kostka_foulkes", "fiber_count",
-                     "fiber_polynomial"):
+        for name in ("word_charge", "charge", "gaussian_binomial", "enumerate_ssyt",
+                     "kostka_number", "kostka_foulkes", "modified_kostka_foulkes",
+                     "fiber_count", "fiber_polynomial"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused(name))
-    for cached in (qpoly._kostka_foulkes, qpoly._modified_kostka_foulkes, qpoly._gauss,
-                   flaggeo._strip_tally):
+    for cached in (combinatorics._kostka, combinatorics._strips, qpoly._kostka_foulkes,
+                   qpoly._modified_kostka_foulkes, qpoly._gauss, flaggeo._strip_tally):
         cached.cache_clear()
     monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
     for mode in ("polynomial", "numeric"):

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from nilflag.combinatorics import (
+    _kostka,
     check_dimvec,
     check_partition,
     conjugate,
@@ -23,6 +24,7 @@ from nilflag.combinatorics import (
     schur_dim,
     syt_count,
 )
+from oracles import ssyt_by_cells
 
 # numbers of partitions of 0..8 (for enumeration sanity)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
@@ -236,6 +238,22 @@ def test_ssyt_count_invariant_under_content_permutation():
             base = len(enumerate_ssyt(shape, content))
             for perm in set(permutations(content)):
                 assert len(enumerate_ssyt(shape, perm)) == base
+
+
+def test_enumerate_ssyt_against_cell_search():
+    # the strip-by-strip tableaux are the cell-by-cell ones, in the same
+    # order, for every shape of size <= 7 and content of length <= 4
+    pairs = [(shape, content) for d in range(1, 8) for shape in all_partitions(d)
+             for k in range(1, 5) for content in enumerate_dimvecs(k, d)]
+    assert len(pairs) == 4818
+    for shape, content in pairs:
+        assert enumerate_ssyt(shape, content) == ssyt_by_cells(shape, content), (shape, content)
+    # Kostka numbers counted by strips build no tableau; they match the count
+    kostka_pairs = [(shape, weight) for d in range(1, 10) for shape in all_partitions(d)
+                    for weight in all_partitions(d)]
+    assert len(kostka_pairs) == 1818
+    for shape, weight in kostka_pairs:
+        assert _kostka(shape, weight) == len(ssyt_by_cells(shape, weight)), (shape, weight)
 
 
 def test_kostka_examples():
