@@ -155,6 +155,10 @@ def nilcone_dim(n: int, d: int) -> int:
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    return _nilcone_dim(n, d)
+
+
+def _nilcone_dim(n: int, d: int) -> int:
     k, r = divmod(d, n)
     top = (n,) * k + ((r,) if r else ())
     return orbit_dim(top)

@@ -534,7 +534,7 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
     out = []
     for inner, taken in _strips(cols, m):
         mu = conjugate(inner)
-        g_poly = LaurentPoly.one()
+        g_poly = LaurentPoly({0: 1})
         shift = base - n_stat(mu)
         for g, b in zip(gaps, taken):
             g_poly = g_poly * _gauss(g, b)

@@ -28,19 +28,17 @@ class LaurentPoly:
     """Integer-coefficient Laurent polynomial in one variable q.
 
     Instances behave as immutable values: arithmetic returns fresh
-    objects, equality is coefficient-wise, and no zero coefficients are
-    ever stored.
+    objects and equality is coefficient-wise.  The constructor is the
+    one place that drops zero coefficients, and every operator builds
+    its result through it: equality and hashing compare the stored
+    coefficients, so a stored zero would split equal polynomials.
     """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        # coeffs maps exponent -> coefficient; zero coefficients are dropped
-        self._c = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        # coeffs maps int exponent -> int coefficient; zero coefficients are dropped
+        self._c = {e: c for e, c in (coeffs or {}).items() if c}
 
     @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
@@ -65,58 +63,38 @@ class LaurentPoly:
         """Multiply by q**k (k may be negative)."""
         return LaurentPoly({e + k: c for e, c in self._c.items()})
 
-    def scale(self, factor: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * factor for e, c in self._c.items()})
-
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            other = LaurentPoly({0: other})
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = dict(self._c)
         for e, c in other._c.items():
-            merged = data.get(e, 0) + c
-            if merged:
-                data[e] = merged
-            else:
-                data.pop(e, None)
-        out = LaurentPoly()
-        out._c = data
-        return out
+            data[e] = data.get(e, 0) + c
+        return LaurentPoly(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(-1)
+        return self * -1
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + other.scale(-1)
+        return self + other * -1
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + self.scale(-1)
+        return self * -1 + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scale(other)
+            return LaurentPoly({e: c * other for e, c in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data: dict[int, int] = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
                 e = e1 + e2
-                merged = data.get(e, 0) + c1 * c2
-                if merged:
-                    data[e] = merged
-                else:
-                    data.pop(e, None)
-        out = LaurentPoly()
-        out._c = data
-        return out
+                data[e] = data.get(e, 0) + c1 * c2
+        return LaurentPoly(data)
 
     __rmul__ = __mul__
 
@@ -135,7 +113,7 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._c.items() == other._c.items()
 
     def __hash__(self):
         # a constant equals its int, so it must hash as that int
@@ -148,35 +126,20 @@ class LaurentPoly:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. "q^2+q+1", "2q^-1-1", "0"."""
-        if not self._c:
-            return "0"
-        pieces = []
-        for e in sorted(self._c, reverse=True):
-            c = self._c[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += sign + body
-        return text
+        text = ""
+        for e, c in self.items():
+            # a sign (the first term's only when negative), the magnitude
+            # unless it is a 1 before a shown q, then the power of q
+            if c < 0 or text:
+                text += "-" if c < 0 else "+"
+            if abs(c) != 1 or e == 0:
+                text += str(abs(c))
+            if e:
+                text += "q" if e == 1 else f"q^{e}"
+        return text or "0"
 
     def __repr__(self):
         return f"LaurentPoly({self.to_text()})"
-
-
-def _coerce(value):
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int):
-        return LaurentPoly({0: value})
-    return NotImplemented
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
@@ -266,7 +229,7 @@ def modified_kostka_foulkes(shape, weight) -> LaurentPoly:
 @cache
 def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
     top = n_stat(weight)
-    return LaurentPoly({top - e: c for e, c in _kostka_foulkes(shape, weight)._c.items()})
+    return LaurentPoly({top - e: c for e, c in _kostka_foulkes(shape, weight).items()})
 
 
 @cache

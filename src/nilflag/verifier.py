@@ -26,6 +26,7 @@ from .combinatorics import (
     Partition,
     _dominates,
     _kostka,
+    _nilcone_dim,
     _refines,
     check_dimvec,
     check_partition,
@@ -34,7 +35,6 @@ from .combinatorics import (
     enumerate_partitions,
     flag_dim,
     n_stat,
-    nilcone_dim,
     orbit_dim,
     schur_dim,
     sorted_weight,
@@ -357,8 +357,8 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     deg <= flag_dim(dv) - orbit_dim(lam)/2 per component, and
     deg <= (nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
     """
-    cone = nilcone_dim(n, d)
     dims = {lam: orbit_dim(lam) for lam in enumerate_partitions(n, d)}
+    cone = _nilcone_dim(n, d)
 
     def failures(lam, weight, dv):
         deg = _fiber_poly(lam, dv).degree()

@@ -159,7 +159,7 @@ def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
     for module in (nilflag, combinatorics, flaggeo, qpoly, verifier):
         for name in ("word_charge", "charge", "gaussian_binomial", "enumerate_ssyt",
                      "kostka_number", "kostka_foulkes", "modified_kostka_foulkes",
-                     "fiber_count", "fiber_polynomial"):
+                     "fiber_count", "fiber_polynomial", "nilcone_dim"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused(name))
     for cached in (combinatorics._kostka, combinatorics._strips, qpoly._kostka_foulkes,

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -75,6 +76,30 @@ class TestLaurentPoly:
         assert LaurentPoly({-1: 1, -2: 2}).to_text() == "q^-1+2q^-2"
         assert LaurentPoly({1: -1}).to_text() == "-q"
 
+    def test_ring_agrees_with_evaluation(self):
+        # every operator commutes with exact evaluation at q = 2, 3 and 5;
+        # zero draws cover the zero polynomial and cancelled terms
+        rng = random.Random(20)
+
+        def draw():
+            return LaurentPoly({rng.randint(-6, 6): rng.randint(-3, 3)
+                                for _ in range(rng.randint(0, 5))})
+
+        for _ in range(300):
+            f, g, k = draw(), draw(), rng.randint(-3, 3)
+            assert bool(f) == (not f.is_zero)
+            for x in (2, 3, 5):
+                fx, gx = f(x), g(x)
+                assert (f + g)(x) == fx + gx
+                assert (f - g)(x) == fx - gx
+                assert (f * g)(x) == fx * gx
+                assert (-f)(x) == -fx
+                assert (k + f)(x) == k + fx
+                assert (f - k)(x) == fx - k
+                assert (k - f)(x) == k - fx
+                assert (k * f)(x) == k * fx
+                assert f.shift(k)(x) == fx * Fraction(x) ** k
+
     def test_equality_and_hash(self):
         assert LaurentPoly({0: 1}) == 1
         assert LaurentPoly({0: 0}) == 0
@@ -133,6 +158,8 @@ class TestCharge:
         assert word_charge((2, 3, 1, 1)) == 1
         assert word_charge((3, 1, 1, 2)) == 2
         assert word_charge((2, 1, 1, 3)) == 1
+        assert word_charge(()) == 0
+        assert charge(()) == 0
 
 
 class TestKostkaFoulkes:
