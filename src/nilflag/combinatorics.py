@@ -14,6 +14,7 @@ that _strips lists.  Counts are Python ints, which never wrap.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 
 Partition = tuple[int, ...]
@@ -21,9 +22,17 @@ DimVector = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 
 
+def check_int(x) -> int:
+    """x as an int; a float or a string is refused, not truncated or parsed."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"not an integer: {x!r}") from None
+
+
 def check_partition(parts) -> Partition:
     """Validate a partition given as any iterable of ints; return a tuple."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(check_int, parts))
     for i, x in enumerate(p):
         if x <= 0:
             raise ValueError(f"partition parts must be positive: {p}")
@@ -34,7 +43,7 @@ def check_partition(parts) -> Partition:
 
 def check_dimvec(entries, n: int | None = None) -> DimVector:
     """Validate a dimension vector; optionally pin its length to n."""
-    dv = tuple(int(x) for x in entries)
+    dv = tuple(map(check_int, entries))
     if not dv:
         raise ValueError("dimension vector needs at least one entry")
     if any(x < 0 for x in dv):
@@ -219,7 +228,7 @@ def enumerate_ssyt(shape, content) -> list[Tableau]:
     increase.  Tableaux come out sorted by their rows, top row first.
     """
     shape = check_partition(shape)
-    weight = tuple(int(x) for x in content)
+    weight = tuple(map(check_int, content))
     if any(x < 0 for x in weight):
         raise ValueError(f"content multiplicities must be non-negative: {weight}")
     if sum(shape) != sum(weight):

@@ -22,14 +22,16 @@ one Gray odometer walks every row's choices at one packed add mod p
 each, and each lower row joins the prefix's packed basis through a
 table of its multiples.  For the polynomial in q, the tally is its
 closed form, the vertical-strip Hall polynomials, and no field is
-needed.  Both routes at p charge the Budget for each batch of
-subspaces, [m; k]_p, before they enumerate it.
+needed: the recursion adds their values at q = 2^B and reads the
+polynomial from the base-2^B digits.  Both routes at p charge the
+Budget for each batch of subspaces, [m; k]_p, before they enumerate it.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, chain, combinations, product, repeat
+from math import factorial
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -37,11 +39,12 @@ from .combinatorics import (
     Partition,
     _strips,
     check_dimvec,
+    check_int,
     check_partition,
     conjugate,
     n_stat,
 )
-from .qpoly import LaurentPoly, _gauss
+from .qpoly import LaurentPoly, _digits, _gauss
 
 DEFAULT_BUDGET = 10**8
 
@@ -66,7 +69,7 @@ class Budget:
     """
 
     def __init__(self, limit: int | None = None):
-        self.limit = DEFAULT_BUDGET if limit is None else int(limit)
+        self.limit = DEFAULT_BUDGET if limit is None else check_int(limit)
         if self.limit < 0:
             raise ValueError("budget must be non-negative")
         self.used = 0
@@ -114,7 +117,7 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p) -> int:
-    p = int(p)
+    p = check_int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
@@ -159,7 +162,7 @@ class FqMatrix(NamedTuple):
     @classmethod
     def build(cls, rows, p) -> "FqMatrix":
         p = check_prime(p)
-        normalized = tuple(tuple(int(x) % p for x in row) for row in rows)
+        normalized = tuple(tuple(check_int(x) % p for x in row) for row in rows)
         if len({len(r) for r in normalized}) > 1:
             raise ValueError("rows have mixed lengths")
         return cls(p, normalized)
@@ -195,7 +198,7 @@ class FqSubspace(NamedTuple):
     @classmethod
     def span(cls, vectors, p, ambient: int | None = None) -> "FqSubspace":
         p = check_prime(p)
-        vecs = [tuple(int(x) % p for x in v) for v in vectors]
+        vecs = [tuple(check_int(x) % p for x in v) for v in vectors]
         if ambient is None:
             if not vecs:
                 raise ValueError("ambient dimension required for an empty span")
@@ -288,7 +291,7 @@ def _count_flags(a: FqMatrix, dims: DimVector, bud: Budget) -> int:
     def extensions(v: FqSubspace, k: int):
         # one lift per subspace of the quotient ambient/v
         rest = [j for j in range(d) if j not in v.pivots]
-        bud.charge(_gauss(len(rest), k)(p))
+        bud.charge(_gauss(len(rest), k, p))
         for _, srows in _echelon_bases(len(rest), k, p):
             lifted = []
             for srow in srows:
@@ -442,7 +445,7 @@ def _kernel_quotient_tally(lam, d1: int, p: int, budget: Budget):
     if hit is not None:
         return hit
     ell = len(lam)
-    budget.charge(_gauss(ell, d1)(p))
+    budget.charge(_gauss(ell, d1, p))
     cols = conjugate(lam)
     counts: dict[Partition, int] = {}
     for pivots, count in _right_pivot_census(ell, d1, p).items():
@@ -466,7 +469,7 @@ def _flag_sum(lam: Partition, dims: DimVector, tally, memo: dict):
     """Flags of type lam with jumps dims, summed over the first step.
 
     tally(lam, m) gives each quotient type mu left by an m-subspace of
-    ker(a) with its weight: a count at one prime, or a polynomial in q.
+    ker(a) with its weight: a count at one prime, or a Hall polynomial at q.
     """
     key = (lam, dims)
     hit = memo.get(key)
@@ -511,15 +514,15 @@ def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> i
         if not lam or lam[0] == 1:
             # a = 0: every d1-subspace leaves type 1^(d-d1); none is enumerated
             d = len(lam)
-            return (((1,) * (d - d1), _gauss(d, d1)(p)),)
+            return (((1,) * (d - d1), _gauss(d, d1, p)),)
         return _kernel_quotient_tally(lam, d1, p, budget)
 
     return _named(lam, dimvec, p, _flag_sum, lam, dims, tally, memo)
 
 
 @cache
-def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly], ...]:
-    """Vertical m-strips lam/mu, each with its Hall polynomial G_{lam,mu}(q).
+def _strip_tally(lam: Partition, m: int, q: int) -> tuple[tuple[Partition, int], ...]:
+    """Vertical m-strips lam/mu, each with its Hall polynomial G_{lam,mu} at q.
 
     G counts the m-dimensional subspaces U of ker(a), for a nilpotent a
     of type lam, such that a induces type mu on the quotient by U
@@ -527,6 +530,7 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
     q^(n(lam)-n(mu)-n(1^m)) * prod_i [lam'_i-lam'_{i+1} choose lam'_i-mu'_i]_(1/q).
     The conjugate lam'/mu' is a horizontal strip: b_i <= lam'_i - lam'_{i+1} boxes
     leave the foot of column i, and [g choose b]_(1/q) = q^(-b(g-b)) [g choose b]_q.
+    Each [g choose b]_q starts at 1, so q^shift is G's lowest term: shift >= 0.
     """
     cols = conjugate(lam)
     gaps = [c - nxt for c, nxt in zip(cols, cols[1:] + (0,))]
@@ -534,23 +538,24 @@ def _strip_tally(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly],
     out = []
     for inner, taken in _strips(cols, m):
         mu = conjugate(inner)
-        g_poly = LaurentPoly({0: 1})
+        weight = 1
         shift = base - n_stat(mu)
         for g, b in zip(gaps, taken):
-            g_poly = g_poly * _gauss(g, b)
+            weight *= _gauss(g, b, q)
             shift -= b * (g - b)
-        out.append((mu, g_poly.shift(shift)))
+        out.append((mu, weight * q**shift))
     return tuple(out)
 
 
-# (Jordan type, remaining jumps) -> count polynomial; nothing is enumerated
-_POLY_MEMO: dict[tuple, LaurentPoly | int] = {}
+# B -> {(Jordan type, remaining jumps) -> count at q = 2^B}; nothing is enumerated
+_POLY_MEMO: dict[int, dict[tuple, int]] = {}
 
 
 def _fiber_poly(lam: Partition, dimvec: DimVector) -> LaurentPoly:
-    total = _flag_sum(lam, _nonzero(dimvec), _strip_tally, _POLY_MEMO)
-    # the recursion's base cases are the ints 0 and 1
-    return LaurentPoly({0: total}) if isinstance(total, int) else total
+    bits = factorial(sum(lam)).bit_length()
+    memo = _POLY_MEMO.setdefault(bits, {})
+    total = _flag_sum(lam, _nonzero(dimvec), lambda mu, m: _strip_tally(mu, m, 1 << bits), memo)
+    return _digits(total, bits)
 
 
 def fiber_polynomial(lam, dimvec) -> LaurentPoly:
@@ -560,6 +565,10 @@ def fiber_polynomial(lam, dimvec) -> LaurentPoly:
     ker(a); the quotient types it can leave are the mu with lam/mu a
     vertical m-strip, reached in G_{lam,mu}(q) ways.  Summing over chains
     of strips gives the count symbolically: no primes, no enumeration.
+    The sum runs over ints at q = 2^B, B = bit_length(d!), read back in
+    base 2^B.  Each coefficient is below 2^B: sum_mu G_{lam,mu} = [len(lam); m]_q
+    <= [d; m]_q coefficientwise, so by induction each fiber polynomial is at
+    most [d; dimvec]_q, whose coefficients sum to d!/prod(dimvec_i!) <= d!.
     """
     lam = check_partition(lam)
     dimvec = check_dimvec(dimvec)

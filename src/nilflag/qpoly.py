@@ -4,7 +4,9 @@ A LaurentPoly is a finitely supported map exponent -> integer
 coefficient; exponents may be negative.  Coefficients are Python ints,
 so arbitrary precision comes for free.  On top of the ring live the
 charge statistic on tableau words, Kostka-Foulkes polynomials and
-Gaussian binomial coefficients.
+Gaussian binomial coefficients.  _gauss gives a Gaussian binomial as
+an int at one integer q, and _digits reads a polynomial with
+coefficients in [0, 2^B) back from its value at q = 2^B.
 
 Canonical text form: descending exponents, "q^2+q+1" style, with
 explicit negative exponents as in "q^-1+2q^-2".
@@ -19,6 +21,7 @@ from .combinatorics import (
     Partition,
     Tableau,
     _ssyt,
+    check_int,
     check_partition,
     n_stat,
 )
@@ -32,6 +35,8 @@ class LaurentPoly:
     one place that drops zero coefficients, and every operator builds
     its result through it: equality and hashing compare the stored
     coefficients, so a stored zero would split equal polynomials.
+    Exponents and coefficients must be ints; the constructor does not
+    check them, so a float coefficient is stored as given.
     """
 
     __slots__ = ("_c",)
@@ -158,7 +163,7 @@ def word_charge(word) -> int:
     every wrap bumps the index and each picked letter contributes the
     current index.
     """
-    w = [int(x) for x in word]
+    w = list(map(check_int, word))
     if not w:
         return 0
     if min(w) < 1:
@@ -233,20 +238,27 @@ def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly
 
 
 @cache
-def _gauss(m: int, k: int) -> LaurentPoly:
+def _gauss(m: int, k: int, q: int) -> int:
     if k > m:
-        return LaurentPoly()
+        return 0
     if k == 0 or k == m:
-        return LaurentPoly({0: 1})
-    return _gauss(m - 1, k - 1) + _gauss(m - 1, k).shift(k)
+        return 1
+    return _gauss(m - 1, k - 1, q) + q**k * _gauss(m - 1, k, q)
+
+
+def _digits(value: int, bits: int) -> LaurentPoly:
+    """The polynomial whose coefficients are the base-2^bits digits of value."""
+    mask = (1 << bits) - 1
+    return LaurentPoly({e: value >> bits * e & mask
+                        for e in range(value.bit_length() // bits + 1)})
 
 
 def gaussian_binomial(m: int, k: int) -> LaurentPoly:
     """q-binomial coefficient; counts k-subspaces of an m-space at prime powers.
 
-    k > m yields the zero polynomial.
+    k > m gives 0.  Read off at q = 2^(m+1), as the coefficients sum to C(m, k) < 2^(m+1).
     """
+    m, k = check_int(m), check_int(k)
     if m < 0 or k < 0:
         raise ValueError("gaussian_binomial needs m >= 0 and k >= 0")
-    return _gauss(m, k)
-
+    return _digits(_gauss(m, k, 2 << m), m + 1)

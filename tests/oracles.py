@@ -32,6 +32,12 @@ right_pivot_cell_sizes gives the census in closed form, the size of each
 right-echelon cell, for keys past the reach of one elimination per
 subspace.
 
+gauss_poly, strip_tally_poly and fiber_poly_by_strips are the vertical-
+strip Hall recursion kept in LaurentPoly arithmetic: Gaussian binomials
+by q-Pascal, Hall polynomials as products of them, and the sum over
+chains of strips.  The tests compare the package's Gaussian binomials
+and fiber polynomials, read from one integer each, with them.
+
 ssyt_by_cells fills a shape cell by cell, row by row, with every letter
 the row to its left and the column above allow; the tests compare the
 package's strip-by-strip tableaux and Kostka numbers with it.
@@ -44,6 +50,7 @@ from itertools import combinations, permutations
 from nilflag.combinatorics import (
     Partition,
     Tableau,
+    _strips,
     check_partition,
     conjugate,
     enumerate_partitions,
@@ -396,3 +403,43 @@ def ssyt_by_cells(shape: Partition, content) -> list[Tableau]:
 
     fill(0)
     return found
+
+
+@cache
+def gauss_poly(m: int, k: int) -> LaurentPoly:
+    """[m; k]_q by q-Pascal: [m; k] = [m-1; k-1] + q^k [m-1; k]."""
+    if k > m:
+        return LaurentPoly()
+    if k == 0 or k == m:
+        return LaurentPoly({0: 1})
+    return gauss_poly(m - 1, k - 1) + gauss_poly(m - 1, k).shift(k)
+
+
+@cache
+def strip_tally_poly(lam: Partition, m: int) -> tuple[tuple[Partition, LaurentPoly], ...]:
+    """Vertical m-strips lam/mu, each with its Hall polynomial G_{lam,mu}(q)
+    (Macdonald, II (4.6)), as in nilflag.flaggeo._strip_tally."""
+    cols = conjugate(lam)
+    gaps = [c - nxt for c, nxt in zip(cols, cols[1:] + (0,))]
+    base = n_stat(lam) - m * (m - 1) // 2
+    out = []
+    for inner, taken in _strips(cols, m):
+        mu = conjugate(inner)
+        g_poly = LaurentPoly({0: 1})
+        shift = base - n_stat(mu)
+        for g, b in zip(gaps, taken):
+            g_poly = g_poly * gauss_poly(g, b)
+            shift -= b * (g - b)
+        out.append((mu, g_poly.shift(shift)))
+    return tuple(out)
+
+
+@cache
+def fiber_poly_by_strips(lam: Partition, dims: tuple[int, ...]) -> LaurentPoly:
+    """The count polynomial of flags of type lam with the nonzero jumps dims."""
+    if len(dims) <= 1:
+        return LaurentPoly({0: int(all(part == 1 for part in lam))})
+    total = LaurentPoly()
+    for mu, g_poly in strip_tally_poly(lam, dims[0]):
+        total = total + g_poly * fiber_poly_by_strips(mu, dims[1:])
+    return total

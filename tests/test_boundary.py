@@ -13,33 +13,51 @@ from nilflag.combinatorics import enumerate_dimvecs, enumerate_partitions
 BAD_PARTITION = (1, 2)  # not weakly decreasing
 BAD_DIMVEC = (2, -1, 2)  # a negative entry
 BAD_PRIME = 4
+NOT_AN_INT = 3.7  # refused, where int() would truncate it to 3
 
 # each exported name that takes a partition, dimension vector or prime,
 # with calls that hand it a malformed one
 MALFORMED = {
-    "FqMatrix": [lambda c: c.build([[0, 1], [0, 0]], BAD_PRIME)],
+    "FqMatrix": [
+        lambda c: c.build([[0, 1], [0, 0]], BAD_PRIME),
+        lambda c: c.build([[0, NOT_AN_INT], [0, 0]], 2),
+    ],
     "FqSubspace": [
         lambda c: c.span([(1, 0)], BAD_PRIME),
         lambda c: c.zero(2, BAD_PRIME),
+        lambda c: c.span([(1, NOT_AN_INT)], 2),
     ],
-    "charge": [lambda f: f(((2,), (3,))), lambda f: f(((0, 1),))],
+    "charge": [lambda f: f(((2,), (3,))), lambda f: f(((0, 1),)), lambda f: f(((1.0,),))],
     "count_flags": [lambda f: f(nilflag.jordan_matrix((2, 1), 2), BAD_DIMVEC)],
     "dominates": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
-    "enumerate_ssyt": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
+    "enumerate_ssyt": [
+        lambda f: f(BAD_PARTITION, (1, 1, 1)),
+        lambda f: f((2, 1), BAD_DIMVEC),
+        lambda f: f((2, 1), (1, 1, 1.0)),
+    ],
     "fiber_count": [
         lambda f: f(BAD_PARTITION, (1, 1, 1), 2),
         lambda f: f((2, 1), BAD_DIMVEC, 2),
         lambda f: f((2, 1), (1, 1, 1), BAD_PRIME),
+        lambda f: f((2, 1), (1, 1, 1), NOT_AN_INT),
     ],
     "fiber_count_brute": [
         lambda f: f(BAD_PARTITION, (1, 1, 1), 2),
         lambda f: f((2, 1), BAD_DIMVEC, 2),
         lambda f: f((2, 1), (1, 1, 1), BAD_PRIME),
     ],
-    "fiber_polynomial": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
+    "fiber_polynomial": [
+        lambda f: f(BAD_PARTITION, (1, 1, 1)),
+        lambda f: f((2, 1), BAD_DIMVEC),
+        lambda f: f("21", "111"),  # not read digit by digit
+    ],
     "jordan_matrix": [lambda f: f(BAD_PARTITION, 2), lambda f: f((2, 1), BAD_PRIME)],
     "kostka_foulkes": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_PARTITION)],
-    "kostka_number": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_DIMVEC)],
+    "kostka_number": [
+        lambda f: f(BAD_PARTITION, (1, 1, 1)),
+        lambda f: f((2, 1), BAD_DIMVEC),
+        lambda f: f((2.9, 1), (1, 1, 1)),
+    ],
     "modified_kostka_foulkes": [
         lambda f: f(BAD_PARTITION, (1, 1, 1)),
         lambda f: f((2, 1), BAD_PARTITION),
@@ -52,11 +70,18 @@ MALFORMED = {
         lambda f: f(3, 3, (2, 1), BAD_DIMVEC),
     ],
     "verify_trace_identity": [lambda f: f(2, 3, mode="numeric", primes=[BAD_PRIME])],
-    "word_charge": [lambda f: f((1, 3)), lambda f: f((0, 1)), lambda f: f((-1, 1))],
+    "word_charge": [
+        lambda f: f((1, 3)),
+        lambda f: f((0, 1)),
+        lambda f: f((-1, 1)),
+        lambda f: f((1, 1.5)),
+    ],
 }
 
 # other malformed input that the boundary rejects, one call each
 REJECTED = {
+    "Budget non-integer limit": lambda: nilflag.Budget(10.9),
+    "gaussian_binomial non-integer m": lambda: nilflag.gaussian_binomial(2.5, 1),
     "enumerate_ssyt sizes differ": lambda: nilflag.enumerate_ssyt((2, 1), (1, 1)),
     "schur_dim n=0": lambda: nilflag.schur_dim((2, 1), 0),
     "span of no rows": lambda: nilflag.FqSubspace.span([], 2),
@@ -121,6 +146,13 @@ def test_nd_refusals_name_the_values(case):
     _, n, d = ND_REFUSALS[case]
     with pytest.raises(ValueError, match=f"got n={n}, d={d}$"):
         REJECTED[case]()
+
+
+def test_non_integers_are_refused_by_name():
+    with pytest.raises(ValueError, match=r"^not an integer: 3\.7$"):
+        nilflag.fiber_count((2, 1), (1, 1, 1), NOT_AN_INT)
+    with pytest.raises(ValueError, match="^not an integer: '2'$"):
+        nilflag.fiber_polynomial("21", "111")
 
 
 def test_no_input_checks_per_case(monkeypatch):

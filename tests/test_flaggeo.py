@@ -1,7 +1,7 @@
 import random
 import re
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -35,6 +35,7 @@ from oracles import (
     _induced_type,
     contains,
     enumerate_subspaces,
+    fiber_poly_by_strips,
     full_space,
     interpolate,
     is_zero,
@@ -472,6 +473,20 @@ def test_fiber_polynomial_validation():
         fiber_polynomial((2, 1), (1, 1))
     with pytest.raises(ValueError):
         fiber_polynomial((1, 2), (2, 1))
+
+
+def test_fiber_polynomial_readback_against_strip_recursion():
+    # the count at q = 2^B, read in base 2^B, equals the LaurentPoly
+    # recursion for every lambda and nonzero composition with d <= 9
+    pairs = 0
+    for d in range(1, 10):
+        cuts = [(0, *c, d) for k in range(d) for c in combinations(range(1, d), k)]
+        compositions = [tuple(b - a for a, b in zip(c, c[1:])) for c in cuts]
+        for lam in enumerate_partitions(d, d):
+            for dv in compositions:
+                pairs += 1
+                assert fiber_polynomial(lam, dv) == fiber_poly_by_strips(lam, dv), (lam, dv)
+    assert pairs == 11977
 
 
 # (lam, dimvec, p, count, T): T is the number of subspaces the brute

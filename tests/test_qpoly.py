@@ -19,7 +19,7 @@ from nilflag.qpoly import (
     reading_word,
     word_charge,
 )
-from oracles import InterpolationError, interpolate, lusztig_kostka_foulkes
+from oracles import InterpolationError, gauss_poly, interpolate, lusztig_kostka_foulkes
 
 Q = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})
@@ -266,6 +266,13 @@ class TestGaussianBinomial:
         assert gaussian_binomial(2, 3).is_zero
         with pytest.raises(ValueError):
             gaussian_binomial(-1, 0)
+
+    def test_against_q_pascal_polynomials(self):
+        # read from one value at q = 2^(m+1), one digit per coefficient; at
+        # m = 16 the coefficients sum to C(16, 8) = 12,870
+        for m in range(17):
+            for k in range(m + 2):
+                assert gaussian_binomial(m, k) == gauss_poly(m, k), (m, k)
 
     def test_binomials_at_one(self):
         import math

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilflag import cli, flaggeo, verifier
+from nilflag import cli, combinatorics, flaggeo, qpoly, verifier
 from nilflag.combinatorics import (
     conjugate,
     enumerate_dimvecs,
@@ -408,3 +408,21 @@ class TestFailureBranches:
         result = verify_trace_identity(2, 2, mode=mode, primes=[2, 3])
         witnesses = _failed(result, {"lambda", "dimvec", "q", "left", "right"})
         assert {w["q"] for w in witnesses} == {2, 3}
+
+
+def test_a_run_multiplies_no_two_polynomials(monkeypatch):
+    # count polynomials are read from ints, so a polynomial run with cold
+    # caches multiplies a LaurentPoly by ints only
+    times = LaurentPoly.__mul__
+
+    def int_only(self, other):
+        if isinstance(other, LaurentPoly):
+            raise AssertionError(f"{self!r} * {other!r} inside a run")
+        return times(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", int_only)
+    for cached in (combinatorics._kostka, combinatorics._strips, qpoly._kostka_foulkes,
+                   qpoly._modified_kostka_foulkes, qpoly._gauss, flaggeo._strip_tally):
+        cached.cache_clear()
+    monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
+    assert run_suite(4, 5, mode="polynomial").ok
