@@ -220,7 +220,7 @@ class FqSubspace(NamedTuple):
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical representative of vec modulo this subspace."""
-        w = [int(x) % self.p for x in vec]
+        w = [check_int(x) % self.p for x in vec]
         for row, c in zip(self.rows, self.pivots):
             f = w[c]
             if f:

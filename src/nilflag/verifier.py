@@ -6,9 +6,9 @@ on one side, charge q-analogs and weight multiplicities on the other.
 Flags are counted over F_q at the run's primes (2 and 3 unless given):
 numeric mode compares those counts with the character side, and
 polynomial mode checks the fiber polynomials against them.  The three
-checks over (lam, dv) pairs run through _each_pair, which compares the
-sides once per nonzero composition, the key on which fibers are
-memoized, and reports every dv of it.  The trace identity's right side,
+checks over (lam, dv) pairs run through _each_pair, which walks the
+nonzero compositions, the key on which fibers are memoized, and lists
+a composition's dvs only as witnesses.  The trace identity's right side,
 the stalk solve and its consistency check share _orbit_sum, stalk traces
 weighted by Kostka numbers.  Every check returns a CheckResult with
 pass/fail/skipped status and failure witnesses; a VerificationReport
@@ -18,7 +18,8 @@ as_dict; the command line writes them as JSON.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -31,7 +32,6 @@ from .combinatorics import (
     check_dimvec,
     check_partition,
     conjugate,
-    enumerate_dimvecs,
     enumerate_partitions,
     flag_dim,
     n_stat,
@@ -40,7 +40,7 @@ from .combinatorics import (
     sorted_weight,
     syt_count,
 )
-from .flaggeo import _as_budget, _fiber_count, _fiber_poly, _nonzero, check_prime
+from .flaggeo import _as_budget, _fiber_count, _fiber_poly, check_prime
 from .qpoly import LaurentPoly, _modified_kostka_foulkes
 
 CONVENTIONS = ("standard", "literal-paper")
@@ -161,16 +161,16 @@ def _orbit_sum(stalks: dict, shapes: dict, weight: Partition, shift: int = 0) ->
     return LaurentPoly(coeffs)
 
 
-def _dimvec_classes(n: int, d: int) -> list[tuple[Partition, list[DimVector]]]:
-    """enumerate_dimvecs(n, d) grouped by nonzero composition, the fiber
-    memo's key, as (sorted weight, dvs in enumeration order) per class.
-    Classes come in the order of their first dv, at which the class's
-    fibers are computed.
+def _dimvec_classes(n: int, d: int) -> list[tuple[Partition, DimVector, int]]:
+    """The dvs of (n, d) by nonzero composition, the fiber memo's key, as
+    (sorted weight, composition, C(n, k) dvs) for each k-part one, d cut at
+    k - 1 points.  Classes come lex decreasing, the order of their first
+    dvs in enumerate_dimvecs, at which the class's fibers are computed.
     """
-    classes: dict[DimVector, list[DimVector]] = {}
-    for dv in enumerate_dimvecs(n, d):
-        classes.setdefault(_nonzero(dv), []).append(dv)
-    return [(sorted_weight(dims), dvs) for dims, dvs in classes.items()]
+    comps = sorted((tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
+                    for k in range(min(n, d)) for cuts in combinations(range(1, d), k)),
+                   reverse=True)
+    return [(sorted_weight(c), c, comb(n, len(c))) for c in comps]
 
 
 def _witness_key(w: dict):
@@ -186,19 +186,22 @@ def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> Chec
     """A check over every (lam, dv) pair, decided once per nonzero composition.
 
     The one place where that rule is kept: failures(lam, weight, dv) runs
-    at the first dv of each class of _dimvec_classes and yields the fields
-    of each failed comparison.  Every dv of the class counts as
-    cases_per_pair cases and gets one witness per yielded dict.
+    per class of _dimvec_classes at its composition padded with zeros, its
+    first dv, and yields the fields of each failed comparison.  Every dv of
+    the class counts as cases_per_pair cases; only a failure expands the
+    class, placing the parts at each k of the n positions, one witness per dv.
     """
     witnesses: list[dict] = []
     cases = 0
     classes = _dimvec_classes(n, d)
     for lam in enumerate_partitions(n, d):
-        for weight, dvs in classes:
-            cases += len(dvs) * cases_per_pair
-            for fields in failures(lam, weight, dvs[0]):
-                witnesses.extend({"lambda": list(lam), "dimvec": list(dv), **fields}
-                                 for dv in dvs)
+        for weight, dims, size in classes:
+            cases += size * cases_per_pair
+            for fields in failures(lam, weight, dims + (0,) * (n - len(dims))):
+                for at in combinations(range(n), len(dims)):
+                    placed = dict(zip(at, dims))
+                    witnesses.append({"lambda": list(lam),
+                                      "dimvec": [placed.get(i, 0) for i in range(n)], **fields})
     return CheckResult(name, cases, witnesses)
 
 
@@ -264,31 +267,31 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
     and determine the unique solution; every remaining equation is then
     checked, and failure raises StalkConsistencyError.  Both sides depend
     on dv only through its class in _dimvec_classes, so each class is
-    checked once, at its first dv, against an orbit sum per weight.
+    checked once, at its composition, against an orbit sum per weight.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) for P in parts}
     order = sorted(parts, key=lambda P: shapes[P], reverse=True)
     classes = _dimvec_classes(n, d)
-    weights = {weight for weight, _ in classes}
+    weights = {weight for weight, _, _ in classes}
 
     table: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
-        # each class's normalized fiber, keyed on its nonzero composition;
+        # each class's normalized fiber, keyed on its composition;
         # the pivot row of P is the class of conjugate(P)
-        normalized = {_nonzero(dvs[0]): _fiber_poly(lam, dvs[0]).shift(-flag_dim(weight))
-                      for weight, dvs in classes}
+        normalized = {dims: _fiber_poly(lam, dims).shift(-flag_dim(weight))
+                      for weight, dims, _ in classes}
         solved: dict[Partition, LaurentPoly] = {}
         for P in order:
             # kostka(conj P, conj P) = 1, and each Q after P in order has
             # multiplicity 0 at conj P: the Q solved so far make up the sum
             solved[P] = normalized[shapes[P]] - _orbit_sum(solved, shapes, shapes[P])
         predictions = {weight: _orbit_sum(solved, shapes, weight) for weight in weights}
-        for weight, dvs in classes:
-            predicted, actual = predictions[weight], normalized[_nonzero(dvs[0])]
+        for weight, dims, _ in classes:
+            predicted, actual = predictions[weight], normalized[dims]
             if predicted != actual:
                 raise StalkConsistencyError(
-                    f"stalk system inconsistent at lam={lam}, dv={dvs[0]}: "
+                    f"stalk system inconsistent at lam={lam}, dv={dims + (0,) * (n - len(dims))}: "
                     f"{predicted.to_text()} != {actual.to_text()}")
         table.update(((P, lam), stalk) for P, stalk in solved.items())
     return table
@@ -302,7 +305,7 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, dict | None]:
     """
     witnesses: list[dict] = []
     parts = enumerate_partitions(n, d)
-    cases = len(parts) * len(enumerate_dimvecs(n, d))  # consistency equations
+    cases = len(parts) * comb(n + d - 1, d)  # consistency equations, one per dv
     try:
         table = bootstrap_stalks(n, d)
     except ValueError as exc:
@@ -397,15 +400,14 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
     """
     witnesses: list[dict] = []
     cases = 0
-    # each weight with its number of dvs
-    weights = Counter(sorted_weight(dv) for dv in enumerate_dimvecs(n, d))
+    classes = _dimvec_classes(n, d)
     total = 0
     for P in enumerate_partitions(n, d):
         shape = conjugate(P)
         dim = schur_dim(shape, n)
         total += syt_count(P) * dim
         cases += 1
-        weight_sum = sum(_kostka(shape, weight) * count for weight, count in weights.items())
+        weight_sum = sum(_kostka(shape, weight) * size for weight, _, size in classes)
         if dim != weight_sum:
             witnesses.append({
                 "lambda": list(P),

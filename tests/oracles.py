@@ -41,6 +41,10 @@ and fiber polynomials, read from one integer each, with them.
 ssyt_by_cells fills a shape cell by cell, row by row, with every letter
 the row to its left and the column above allow; the tests compare the
 package's strip-by-strip tableaux and Kostka numbers with it.
+
+dimvec_classes_by_grouping groups the enumerated dimension vectors by
+their nonzero composition; the tests compare the checks' walk over
+compositions, nilflag.verifier._dimvec_classes, with it.
 """
 
 from fractions import Fraction
@@ -48,17 +52,20 @@ from functools import cache
 from itertools import combinations, permutations
 
 from nilflag.combinatorics import (
+    DimVector,
     Partition,
     Tableau,
     _strips,
     check_partition,
     conjugate,
+    enumerate_dimvecs,
     enumerate_partitions,
     enumerate_ssyt,
     flag_dim,
     n_stat,
+    sorted_weight,
 )
-from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _rref
+from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _nonzero, _rref
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
 
 
@@ -443,3 +450,13 @@ def fiber_poly_by_strips(lam: Partition, dims: tuple[int, ...]) -> LaurentPoly:
     for mu, g_poly in strip_tally_poly(lam, dims[0]):
         total = total + g_poly * fiber_poly_by_strips(mu, dims[1:])
     return total
+
+
+def dimvec_classes_by_grouping(n: int, d: int) -> list[tuple[Partition, list[DimVector]]]:
+    """enumerate_dimvecs(n, d) grouped by nonzero composition, as (sorted
+    weight, dvs in enumeration order) per class, in the order of each
+    class's first dv."""
+    classes: dict[DimVector, list[DimVector]] = {}
+    for dv in enumerate_dimvecs(n, d):
+        classes.setdefault(_nonzero(dv), []).append(dv)
+    return [(sorted_weight(dims), dvs) for dims, dvs in classes.items()]

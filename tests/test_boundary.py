@@ -26,6 +26,8 @@ MALFORMED = {
         lambda c: c.span([(1, 0)], BAD_PRIME),
         lambda c: c.zero(2, BAD_PRIME),
         lambda c: c.span([(1, NOT_AN_INT)], 2),
+        lambda c: c.span([(1, 0)], 2).contains_vector((0, 0.5)),
+        lambda c: c.span([(1, 0)], 2).reduce((1.9, 0.5)),
     ],
     "charge": [lambda f: f(((2,), (3,))), lambda f: f(((0, 1),)), lambda f: f(((1.0,),))],
     "count_flags": [lambda f: f(nilflag.jordan_matrix((2, 1), 2), BAD_DIMVEC)],
@@ -153,6 +155,8 @@ def test_non_integers_are_refused_by_name():
         nilflag.fiber_count((2, 1), (1, 1, 1), NOT_AN_INT)
     with pytest.raises(ValueError, match="^not an integer: '2'$"):
         nilflag.fiber_polynomial("21", "111")
+    with pytest.raises(ValueError, match=r"^not an integer: 0\.5$"):
+        nilflag.FqSubspace.span([(1, 0)], 2).contains_vector((0, 0.5))
 
 
 def test_no_input_checks_per_case(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -26,7 +27,7 @@ from nilflag.verifier import (
     verify_trace_identity,
     verify_young_rule,
 )
-from oracles import rhs_by_definition
+from oracles import dimvec_classes_by_grouping, rhs_by_definition
 
 
 class TestTraceIdentityRhs:
@@ -135,6 +136,50 @@ class TestTraceIdentity:
         assert ((2,), (2, 0)) in witnesses
         # and the repaired pairing passes
         assert verify_trace_identity(2, 2).status == "pass"
+
+
+class TestDimvecClasses:
+    def test_against_the_grouped_enumeration(self):
+        # the walk over compositions against enumerate_dimvecs grouped by
+        # nonzero composition: weights, first dvs, sizes and order, and the
+        # dvs a failure expands each class into
+        for n in range(1, 7):
+            for d in range(1, 8):
+                grouped = dimvec_classes_by_grouping(n, d)
+                classes = verifier._dimvec_classes(n, d)
+                assert [weight for weight, _, _ in classes] == [weight for weight, _ in grouped]
+                assert [dims + (0,) * (n - len(dims)) for _, dims, _ in classes] == [
+                    dvs[0] for _, dvs in grouped]
+                assert [size for _, _, size in classes] == [len(dvs) for _, dvs in grouped]
+                first_lam = enumerate_partitions(n, d)[0]
+                result = verifier._each_pair(
+                    "expansion", n, d, 1,
+                    lambda lam, weight, dv: [{"first": dv}] if lam == first_lam else [])
+                assert result.cases == len(enumerate_partitions(n, d)) * comb(n + d - 1, d)
+                expanded: dict[tuple, set] = {}
+                for w in result.witnesses:
+                    expanded.setdefault(w["first"], set()).add(tuple(w["dimvec"]))
+                assert len(result.witnesses) == len(enumerate_dimvecs(n, d))
+                assert expanded == {dvs[0]: set(dvs) for _, dvs in grouped}
+
+    def test_twelve_twelve(self):
+        classes = verifier._dimvec_classes(12, 12)
+        assert len(classes) == 2**11
+        assert sum(size for _, _, size in classes) == comb(23, 12) == 1_352_078
+
+
+def test_no_check_enumerates_dimvecs(monkeypatch):
+    # every check walks the nonzero compositions; none builds the dv list
+    def refused(n, d):
+        raise AssertionError(f"enumerate_dimvecs({n}, {d}) called by a check")
+
+    for module in (combinatorics, verifier):
+        monkeypatch.setattr(module, "enumerate_dimvecs", refused, raising=False)
+    for mode in ("polynomial", "numeric"):
+        assert run_suite(4, 5, mode=mode).ok
+    check, table = verify_stalk_bootstrap(4, 5)
+    assert check.status == "pass" and table is not None
+    assert verify_schur_weyl(4, 5).status == "pass"
 
 
 class TestBootstrap:
@@ -300,14 +345,24 @@ class TestFailureBranches:
     """Each check reports a witness when one side is made wrong."""
 
     def test_semismall_and_top_components(self, monkeypatch):
+        # every pair fails semismall, and top_components wherever the
+        # multiplicity is nonzero; at (4,6) a class spreads over up to 4
+        # positions, so each witness comes from expanding a class
         monkeypatch.setattr(verifier, "_fiber_poly", lambda lam, dv: LaurentPoly.q_power(100))
-        result = verify_semismall(2, 3)
-        witnesses = _failed(result, {"lambda", "dimvec", "degree", "bound"})
-        assert len(witnesses) == result.cases
-        assert all(w["degree"] == 100 for w in witnesses)
-        witnesses = _failed(verify_top_components(2, 3),
-                            {"lambda", "dimvec", "degree", "left", "right"})
-        assert all(w["left"] == 0 != w["right"] for w in witnesses)
+        for n, d in [(2, 3), (4, 6)]:
+            pairs = {(lam, dv) for lam in enumerate_partitions(n, d)
+                     for dv in enumerate_dimvecs(n, d)}
+            result = verify_semismall(n, d)
+            witnesses = _failed(result, {"lambda", "dimvec", "degree", "bound"})
+            assert len(witnesses) == result.cases
+            assert all(w["degree"] == 100 for w in witnesses)
+            assert {(tuple(w["lambda"]), tuple(w["dimvec"])) for w in witnesses} == pairs
+            witnesses = _failed(verify_top_components(n, d),
+                                {"lambda", "dimvec", "degree", "left", "right"})
+            assert all(w["left"] == 0 != w["right"] for w in witnesses)
+            assert {(tuple(w["lambda"]), tuple(w["dimvec"])) for w in witnesses} == {
+                (lam, dv) for lam, dv in pairs
+                if verifier._kostka(conjugate(lam), sorted_weight(dv))}
 
     def test_stalk_hypothesis(self, monkeypatch):
         table = bootstrap_stalks(2, 3)
