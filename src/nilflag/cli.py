@@ -165,7 +165,7 @@ def run(argv=None) -> int:
         payload, code = args.handler(args)
         print(_dumps(payload, args.pretty))
         return code
-    except (BudgetExceeded, ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

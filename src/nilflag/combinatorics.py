@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cache
+from itertools import accumulate, combinations
 
 Partition = tuple[int, ...]
 DimVector = tuple[int, ...]
@@ -101,13 +102,8 @@ def dominates(p, r) -> bool:
 
 
 def _dominates(p: Partition, r: Partition) -> bool:
-    total_p = total_r = 0
-    for i in range(max(len(p), len(r))):
-        total_p += p[i] if i < len(p) else 0
-        total_r += r[i] if i < len(r) else 0
-        if total_p < total_r:
-            return False
-    return True
+    # equal sizes, so a p with more parts than r already fails at r's last part
+    return all(a >= b for a, b in zip(accumulate(p), accumulate(r)))
 
 
 def refines(p, r) -> bool:
@@ -120,29 +116,15 @@ def refines(p, r) -> bool:
     r = check_partition(r)
     if sum(p) != sum(r):
         raise ValueError("refinement compares partitions of equal size")
-    return _refines(p, r)
+    return p != r and r in _coarsenings(p)
 
 
-def _refines(p: Partition, r: Partition) -> bool:
-    if p == r:
-        return False
-
-    def pack(parts: tuple[int, ...], caps: list[int]) -> bool:
-        if not parts:
-            return all(c == 0 for c in caps)
-        x = parts[0]
-        tried = set()
-        for i, c in enumerate(caps):
-            if c >= x and c not in tried:
-                tried.add(c)
-                caps[i] -= x
-                if pack(parts[1:], caps):
-                    caps[i] += x
-                    return True
-                caps[i] += x
-        return False
-
-    return pack(p, list(r))
+@cache
+def _coarsenings(p: Partition) -> frozenset[Partition]:
+    """p and every partition made from it by merging parts, two at a time."""
+    return frozenset((p,)).union(*map(_coarsenings, {
+        tuple(sorted(p[:i] + p[i + 1:j] + p[j + 1:] + (p[i] + p[j],), reverse=True))
+        for i, j in combinations(range(len(p)), 2)}))
 
 
 def n_stat(p: Partition) -> int:

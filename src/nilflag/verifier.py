@@ -25,10 +25,10 @@ from typing import NamedTuple
 from .combinatorics import (
     DimVector,
     Partition,
+    _coarsenings,
     _dominates,
     _kostka,
     _nilcone_dim,
-    _refines,
     check_dimvec,
     check_partition,
     conjugate,
@@ -443,7 +443,7 @@ def verify_young_rule(d: int) -> CheckResult:
                 "right": 1,
             })
         for Q in parts:
-            if _refines(P, Q):
+            if Q != P and Q in _coarsenings(P):
                 cases += 1
                 if _kostka(P, Q) != 0:
                     witnesses.append({

@@ -45,6 +45,12 @@ package's strip-by-strip tableaux and Kostka numbers with it.
 dimvec_classes_by_grouping groups the enumerated dimension vectors by
 their nonzero composition; the tests compare the checks' walk over
 compositions, nilflag.verifier._dimvec_classes, with it.
+
+refines_by_packing decides strict refinement by packing the parts of p,
+largest first, into bins the size of r's parts, and dominates_by_padding
+compares prefix sums index by index with the shorter partition padded by
+zeros; the tests compare the package's closure under merging parts and
+its unpadded prefix sums with them.
 """
 
 from fractions import Fraction
@@ -460,3 +466,37 @@ def dimvec_classes_by_grouping(n: int, d: int) -> list[tuple[Partition, list[Dim
     for dv in enumerate_dimvecs(n, d):
         classes.setdefault(_nonzero(dv), []).append(dv)
     return [(sorted_weight(dims), dvs) for dims, dvs in classes.items()]
+
+
+def refines_by_packing(p: Partition, r: Partition) -> bool:
+    """Whether the parts of p, p != r, fill bins of r's part sizes exactly."""
+    if p == r:
+        return False
+
+    def pack(parts: tuple[int, ...], caps: list[int]) -> bool:
+        if not parts:
+            return all(c == 0 for c in caps)
+        x = parts[0]
+        tried = set()
+        for i, c in enumerate(caps):
+            if c >= x and c not in tried:
+                tried.add(c)
+                caps[i] -= x
+                if pack(parts[1:], caps):
+                    caps[i] += x
+                    return True
+                caps[i] += x
+        return False
+
+    return pack(p, list(r))
+
+
+def dominates_by_padding(p: Partition, r: Partition) -> bool:
+    """Whether every prefix sum of p, padded with zeros, is at least r's."""
+    total_p = total_r = 0
+    for i in range(max(len(p), len(r))):
+        total_p += p[i] if i < len(p) else 0
+        total_r += r[i] if i < len(r) else 0
+        if total_p < total_r:
+            return False
+    return True

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nilflag import cli
 from nilflag.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 
@@ -199,6 +200,33 @@ def test_brute_refusal_names_the_instance(capsys):
     code, payload = run_json(capsys, *argv, "--budget", "65")
     assert code == EXIT_OK
     assert payload == {"count": 52}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "1", "--d", "1200"],
+    ["partitions", "--n", "1", "--d", "1200"],
+    ["dimvecs", "--n", "1200", "--d", "1"],
+])
+def test_recursion_limit_exits_2(capsys, argv):
+    # a resource error, not a failed verification (exit 1) or a traceback
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    code = run(["verify", "--n", "2", "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("primes", ["2,x", ""])

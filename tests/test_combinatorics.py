@@ -24,7 +24,7 @@ from nilflag.combinatorics import (
     schur_dim,
     syt_count,
 )
-from oracles import ssyt_by_cells
+from oracles import dominates_by_padding, refines_by_packing, ssyt_by_cells
 
 # numbers of partitions of 0..8 (for enumeration sanity)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
@@ -112,6 +112,16 @@ def test_refines_examples():
     assert not refines((2, 1), (2, 1))
     with pytest.raises(ValueError):
         refines((2,), (3,))
+
+
+def test_both_orders_against_their_oracles():
+    # every ordered pair of partitions of each d <= 12
+    for d in range(1, 13):
+        parts = all_partitions(d)
+        for p in parts:
+            for r in parts:
+                assert refines(p, r) == refines_by_packing(p, r), (p, r)
+                assert dominates(p, r) == dominates_by_padding(p, r), (p, r)
 
 
 def test_refines_implies_dominated():

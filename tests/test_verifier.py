@@ -27,7 +27,7 @@ from nilflag.verifier import (
     verify_trace_identity,
     verify_young_rule,
 )
-from oracles import dimvec_classes_by_grouping, rhs_by_definition
+from oracles import dimvec_classes_by_grouping, refines_by_packing, rhs_by_definition
 
 
 class TestTraceIdentityRhs:
@@ -256,6 +256,13 @@ class TestDimensionChecks:
     def test_young_rule(self):
         for d in range(1, 11):
             assert verify_young_rule(d).status == "pass"
+
+    @pytest.mark.parametrize("d, cases", [(5, 26), (6, 55), (12, 1873)])
+    def test_young_rule_cases(self, d, cases):
+        # one diagonal case per partition of d, one per strict refinement
+        parts = enumerate_partitions(d, d)
+        strict = sum(refines_by_packing(P, Q) for P in parts for Q in parts)
+        assert verify_young_rule(d).cases == cases == len(parts) + strict
 
 
 class TestSuite:
