@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 
 Partition = tuple[int, ...]
 DimVector = tuple[int, ...]
@@ -67,22 +67,23 @@ def format_parts(parts) -> str:
 
 
 def enumerate_partitions(n: int, d: int) -> list[Partition]:
-    """All partitions of d with parts at most n, lexicographically decreasing."""
+    """All partitions of d with parts at most n, lexicographically decreasing:
+    each lowers the last part above 1 of the one before and refills greedily."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     out: list[Partition] = []
-
-    def rec(remaining: int, biggest: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(biggest, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(d, n, [])
-    return out
+    p: list[int] = []
+    remaining, biggest = d, n
+    while True:
+        k, r = divmod(remaining, biggest)
+        p += [biggest] * k + ([r] if r else [])
+        out.append(tuple(p))
+        ones = p.count(1)
+        if ones == len(p):
+            return out
+        del p[len(p) - ones:]
+        p[-1] = biggest = p[-1] - 1
+        remaining = ones + 1
 
 
 def conjugate(p: Partition) -> Partition:
@@ -155,23 +156,17 @@ def _nilcone_dim(n: int, d: int) -> int:
     return orbit_dim(top)
 
 
+def _cut(d: int, cuts) -> tuple[int, ...]:
+    """The parts of d between the weakly increasing cut points in 0..d."""
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
+
+
 def enumerate_dimvecs(n: int, d: int) -> list[DimVector]:
-    """All n-tuples of non-negative integers summing to d, lex decreasing."""
+    """All n-tuples of non-negative integers summing to d, lex decreasing:
+    d cut at n - 1 points that may coincide, the cuts listed in reverse."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    out: list[DimVector] = []
-
-    def rec(slots: int, remaining: int, prefix: list[int]) -> None:
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for first in range(remaining, -1, -1):
-            prefix.append(first)
-            rec(slots - 1, remaining - first, prefix)
-            prefix.pop()
-
-    rec(n, d, [])
-    return out
+    return [_cut(d, cuts) for cuts in combinations_with_replacement(range(d + 1), n - 1)][::-1]
 
 
 def flag_dim(dv: DimVector) -> int:

@@ -204,37 +204,33 @@ def charge(t) -> int:
 
 
 @cache
-def _kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
-    counts = Counter(_charge(list(reading_word(t))) for t in _ssyt(shape, weight))
-    return LaurentPoly(counts)
+def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
+    top = n_stat(weight)
+    return LaurentPoly(Counter(top - _charge(list(reading_word(t))) for t in _ssyt(shape, weight)))
+
+
+def _checked(shape, weight) -> tuple[Partition, Partition]:
+    shape, weight = check_partition(shape), check_partition(weight)
+    if sum(shape) != sum(weight):
+        raise ValueError("shape size and weight size differ")
+    return shape, weight
 
 
 def kostka_foulkes(shape, weight) -> LaurentPoly:
     """Charge generating polynomial over tableaux of this shape and weight.
 
     Weight must be a partition.  The value at q=1 is the Kostka number;
-    the zero polynomial is returned when no tableaux exist.
+    the zero polynomial is returned when no tableaux exist.  It is the
+    reflection of the cached modified_kostka_foulkes.
     """
-    shape = check_partition(shape)
-    weight = check_partition(weight)
-    if sum(shape) != sum(weight):
-        raise ValueError("shape size and weight size differ")
-    return _kostka_foulkes(shape, weight)
+    shape, weight = _checked(shape, weight)
+    top = n_stat(weight)
+    return LaurentPoly({top - e: c for e, c in _modified_kostka_foulkes(shape, weight).items()})
 
 
 def modified_kostka_foulkes(shape, weight) -> LaurentPoly:
     """The normalization q^{n(weight)} * kostka_foulkes(shape, weight)(1/q)."""
-    shape = check_partition(shape)
-    weight = check_partition(weight)
-    if sum(shape) != sum(weight):
-        raise ValueError("shape size and weight size differ")
-    return _modified_kostka_foulkes(shape, weight)
-
-
-@cache
-def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
-    top = n_stat(weight)
-    return LaurentPoly({top - e: c for e, c in _kostka_foulkes(shape, weight).items()})
+    return _modified_kostka_foulkes(*_checked(shape, weight))
 
 
 @cache

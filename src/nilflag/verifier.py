@@ -26,6 +26,7 @@ from .combinatorics import (
     DimVector,
     Partition,
     _coarsenings,
+    _cut,
     _dominates,
     _kostka,
     _nilcone_dim,
@@ -167,9 +168,8 @@ def _dimvec_classes(n: int, d: int) -> list[tuple[Partition, DimVector, int]]:
     k - 1 points.  Classes come lex decreasing, the order of their first
     dvs in enumerate_dimvecs, at which the class's fibers are computed.
     """
-    comps = sorted((tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
-                    for k in range(min(n, d)) for cuts in combinations(range(1, d), k)),
-                   reverse=True)
+    comps = sorted((_cut(d, cuts) for k in range(min(n, d))
+                    for cuts in combinations(range(1, d), k)), reverse=True)
     return [(sorted_weight(c), c, comb(n, len(c))) for c in comps]
 
 

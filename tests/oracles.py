@@ -51,12 +51,21 @@ largest first, into bins the size of r's parts, and dominates_by_padding
 compares prefix sums index by index with the shorter partition padded by
 zeros; the tests compare the package's closure under merging parts and
 its unpadded prefix sums with them.
+
+partitions_by_recursion and dimvecs_by_recursion pick the first part or
+entry and recurse on the rest; the tests compare the package's iterative
+enumerators, which must list the same tuples in the same order, with them.
+
+CACHES is every @cache table in the package; the tests that run with cold
+caches clear them all, and a test finds the tables by introspection to
+keep the tuple whole.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 
+from nilflag import combinatorics, flaggeo, qpoly
 from nilflag.combinatorics import (
     DimVector,
     Partition,
@@ -73,6 +82,17 @@ from nilflag.combinatorics import (
 )
 from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _nonzero, _rref
 from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
+
+
+CACHES = (
+    combinatorics._coarsenings,
+    combinatorics._kostka,
+    combinatorics._strips,
+    flaggeo._gray_table,
+    flaggeo._strip_tally,
+    qpoly._gauss,
+    qpoly._modified_kostka_foulkes,
+)
 
 
 def rhs_by_definition(n: int, d: int, lam, dv, convention: str) -> LaurentPoly:
@@ -500,3 +520,39 @@ def dominates_by_padding(p: Partition, r: Partition) -> bool:
         if total_p < total_r:
             return False
     return True
+
+
+def partitions_by_recursion(n: int, d: int) -> list[Partition]:
+    """Partitions of d with parts at most n, lex decreasing, by recursion
+    on the first part."""
+    out: list[Partition] = []
+
+    def rec(remaining: int, biggest: int, prefix: list[int]) -> None:
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(biggest, remaining), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    rec(d, n, [])
+    return out
+
+
+def dimvecs_by_recursion(n: int, d: int) -> list[DimVector]:
+    """n-tuples of non-negative integers summing to d, lex decreasing, by
+    recursion on the first entry."""
+    out: list[DimVector] = []
+
+    def rec(slots: int, remaining: int, prefix: list[int]) -> None:
+        if slots == 1:
+            out.append(tuple(prefix) + (remaining,))
+            return
+        for first in range(remaining, -1, -1):
+            prefix.append(first)
+            rec(slots - 1, remaining - first, prefix)
+            prefix.pop()
+
+    rec(n, d, [])
+    return out

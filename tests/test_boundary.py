@@ -1,5 +1,7 @@
 """Input is checked at the package boundary and nowhere behind it."""
 
+import importlib
+import pkgutil
 from collections import Counter
 from functools import partial
 from types import ModuleType
@@ -9,6 +11,7 @@ import pytest
 import nilflag
 from nilflag import combinatorics, flaggeo, qpoly, verifier
 from nilflag.combinatorics import enumerate_dimvecs, enumerate_partitions
+from oracles import CACHES
 
 BAD_PARTITION = (1, 2)  # not weakly decreasing
 BAD_DIMVEC = (2, -1, 2)  # a negative entry
@@ -184,6 +187,15 @@ def test_no_input_checks_per_case(monkeypatch):
     assert max(calls.values()) < pairs, calls
 
 
+def test_caches_names_every_cache():
+    # the cold runs clear CACHES, so every @cache table in the package is in it
+    found = {value for info in pkgutil.iter_modules(nilflag.__path__)
+             for value in vars(importlib.import_module(f"nilflag.{info.name}")).values()
+             if hasattr(value, "cache_clear")}
+    assert len(set(CACHES)) == len(CACHES)
+    assert set(CACHES) == found
+
+
 def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
     # a run calls the unchecked bodies; the checked names behind the
     # boundary are never reached, even with the caches cold
@@ -198,8 +210,7 @@ def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
                      "fiber_count", "fiber_polynomial", "nilcone_dim"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused(name))
-    for cached in (combinatorics._kostka, combinatorics._strips, qpoly._kostka_foulkes,
-                   qpoly._modified_kostka_foulkes, qpoly._gauss, flaggeo._strip_tally):
+    for cached in CACHES:
         cached.cache_clear()
     monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
     for mode in ("polynomial", "numeric"):

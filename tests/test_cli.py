@@ -204,8 +204,6 @@ def test_brute_refusal_names_the_instance(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "1", "--d", "1200"],
-    ["partitions", "--n", "1", "--d", "1200"],
-    ["dimvecs", "--n", "1200", "--d", "1"],
 ])
 def test_recursion_limit_exits_2(capsys, argv):
     # a resource error, not a failed verification (exit 1) or a traceback
@@ -215,6 +213,16 @@ def test_recursion_limit_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: maximum recursion depth exceeded")
     assert captured.err.count("\n") == 1
+
+
+def test_one_line_answers_past_the_recursion_limit(capsys):
+    # the enumerators walk without recursion, however many parts or slots
+    code, payload = run_json(capsys, "partitions", "--n", "1", "--d", "1200")
+    assert code == EXIT_OK
+    assert payload == {"partitions": [[1] * 1200]}
+    code, payload = run_json(capsys, "dimvecs", "--n", "1200", "--d", "1")
+    assert code == EXIT_OK
+    assert payload == {"dimvecs": [[int(i == j) for j in range(1200)] for i in range(1200)]}
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):

@@ -24,7 +24,13 @@ from nilflag.combinatorics import (
     schur_dim,
     syt_count,
 )
-from oracles import dominates_by_padding, refines_by_packing, ssyt_by_cells
+from oracles import (
+    dimvecs_by_recursion,
+    dominates_by_padding,
+    partitions_by_recursion,
+    refines_by_packing,
+    ssyt_by_cells,
+)
 
 # numbers of partitions of 0..8 (for enumeration sanity)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
@@ -80,6 +86,16 @@ def test_enumerate_partitions_counts_and_order():
                 assert all(part <= n for part in p)
     with pytest.raises(ValueError):
         enumerate_partitions(0, 3)
+
+
+def test_enumerators_against_their_recursions():
+    # same tuples in the same order as the recursion on the first part or entry
+    for n in range(1, 9):
+        for d in range(1, 14):
+            assert enumerate_partitions(n, d) == partitions_by_recursion(n, d), (n, d)
+    for n in range(1, 8):
+        for d in range(1, 11):
+            assert enumerate_dimvecs(n, d) == dimvecs_by_recursion(n, d), (n, d)
 
 
 def test_conjugate_examples_and_involution():

@@ -201,13 +201,17 @@ class TestKostkaFoulkes:
 
     def test_against_lusztig_q_analogue(self):
         # the charge route against the alternating sum of q-Kostant
-        # partition functions, on every pair of partitions of d <= 6
+        # partition functions, on every pair of partitions of d <= 6, and
+        # the modified table that runs read against its reflection
         pairs = 0
         for d in range(1, 7):
             parts = enumerate_partitions(d, d)
             for lam in parts:
                 for mu in parts:
-                    assert kostka_foulkes(lam, mu) == lusztig_kostka_foulkes(lam, mu), (lam, mu)
+                    lusztig = lusztig_kostka_foulkes(lam, mu)
+                    assert kostka_foulkes(lam, mu) == lusztig, (lam, mu)
+                    reflected = LaurentPoly({n_stat(mu) - e: c for e, c in lusztig.items()})
+                    assert modified_kostka_foulkes(lam, mu) == reflected, (lam, mu)
                     pairs += 1
         assert pairs == 209
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from nilflag import cli, combinatorics, flaggeo, qpoly, verifier
+from nilflag import cli, combinatorics, flaggeo, verifier
 from nilflag.combinatorics import (
     conjugate,
     enumerate_dimvecs,
@@ -27,7 +27,7 @@ from nilflag.verifier import (
     verify_trace_identity,
     verify_young_rule,
 )
-from oracles import dimvec_classes_by_grouping, refines_by_packing, rhs_by_definition
+from oracles import CACHES, dimvec_classes_by_grouping, refines_by_packing, rhs_by_definition
 
 
 class TestTraceIdentityRhs:
@@ -483,8 +483,7 @@ def test_a_run_multiplies_no_two_polynomials(monkeypatch):
         return times(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", int_only)
-    for cached in (combinatorics._kostka, combinatorics._strips, qpoly._kostka_foulkes,
-                   qpoly._modified_kostka_foulkes, qpoly._gauss, flaggeo._strip_tally):
+    for cached in CACHES:
         cached.cache_clear()
     monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
     assert run_suite(4, 5, mode="polynomial").ok
