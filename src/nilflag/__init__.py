@@ -7,9 +7,9 @@ multiplicities, together with degree bounds and top-coefficient
 corollaries.
 
 Input is checked where it enters: every name exported here, and the
-command line, rejects a malformed partition, dimension vector or prime
-with ValueError.  The code behind them takes valid tuples and does not
-check them again.
+command line, rejects a malformed size, partition, dimension vector or
+prime with ValueError.  The code behind them takes valid tuples and does
+not check them again.
 """
 
 from .combinatorics import (

@@ -28,7 +28,8 @@ from .flaggeo import (
     fiber_polynomial,
 )
 from .qpoly import kostka_foulkes
-from .verifier import bootstrap_stalks, run_suite, verify_schur_weyl
+from .verifier import (CONVENTIONS, DEFAULT_PRIMES, MODES, bootstrap_stalks, run_suite,
+                       verify_schur_weyl)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,12 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("bootstrap", _cmd_bootstrap, "solve the stalk-trace linear systems", sized)
 
     p = command("verify", _cmd_verify, "run the full identity suite", sized)
-    p.add_argument("--mode", choices=("polynomial", "numeric"), default="polynomial")
+    p.add_argument("--mode", choices=MODES, default="polynomial")
     p.add_argument(
-        "--primes", default=None,
-        help='primes at which flags are counted, comma-separated (default "2,3")')
-    p.add_argument(
-        "--convention", choices=("standard", "literal-paper"), default="standard")
+        "--primes", default=None, help="primes at which flags are counted, "
+        f'comma-separated (default "{format_parts(DEFAULT_PRIMES)}")')
+    p.add_argument("--convention", choices=CONVENTIONS, default="standard")
     p.add_argument("--report", default=None, help="also write the report to this path")
     p.add_argument("--budget", type=int, default=None)
 

@@ -31,6 +31,14 @@ def check_int(x) -> int:
         raise ValueError(f"not an integer: {x!r}") from None
 
 
+def check_size(n, d) -> tuple[int, int]:
+    """n and d as ints, both at least 1: the rule for every export over (n, d)."""
+    n, d = check_int(n), check_int(d)
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    return n, d
+
+
 def check_partition(parts) -> Partition:
     """Validate a partition given as any iterable of ints; return a tuple."""
     p = tuple(map(check_int, parts))
@@ -69,8 +77,7 @@ def format_parts(parts) -> str:
 def enumerate_partitions(n: int, d: int) -> list[Partition]:
     """All partitions of d with parts at most n, lexicographically decreasing:
     each lowers the last part above 1 of the one before and refills greedily."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = check_size(n, d)
     out: list[Partition] = []
     p: list[int] = []
     remaining, biggest = d, n
@@ -145,9 +152,7 @@ def nilcone_dim(n: int, d: int) -> int:
     Equals the orbit dimension of the dominance-greatest Jordan type with
     parts at most n (k full parts of size n plus one remainder part).
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    return _nilcone_dim(n, d)
+    return _nilcone_dim(*check_size(n, d))
 
 
 def _nilcone_dim(n: int, d: int) -> int:
@@ -164,8 +169,7 @@ def _cut(d: int, cuts) -> tuple[int, ...]:
 def enumerate_dimvecs(n: int, d: int) -> list[DimVector]:
     """All n-tuples of non-negative integers summing to d, lex decreasing:
     d cut at n - 1 points that may coincide, the cuts listed in reverse."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = check_size(n, d)
     return [_cut(d, cuts) for cuts in combinations_with_replacement(range(d + 1), n - 1)][::-1]
 
 
@@ -267,6 +271,7 @@ def schur_dim(shape, n: int) -> int:
     dimension vectors dv of length n, which tests cross-check.
     """
     shape = check_partition(shape)
+    n = check_int(n)
     if n < 1:
         raise ValueError("schur_dim needs n >= 1")
     if len(shape) > n:

@@ -220,29 +220,34 @@ class FqSubspace(NamedTuple):
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical representative of vec modulo this subspace."""
-        w = [check_int(x) % self.p for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            f = w[c]
-            if f:
-                w = [(x - f * y) % self.p for x, y in zip(w, row)]
-        return tuple(w)
+        return _reduce(self, [check_int(x) % self.p for x in vec])
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))
 
 
-def _echelon_bases(m: int, k: int, p: int):
-    """Canonical RREF bases of the [m; k]_p k-subspaces of F_p^m, one each."""
-    for pivot_cols in combinations(range(m), k):
+def _reduce(v: FqSubspace, w) -> tuple[int, ...]:
+    """FqSubspace.reduce for a vector w of residues mod v.p."""
+    for row, c in zip(v.rows, v.pivots):
+        f = w[c]
+        if f:
+            w = [(x - f * y) % v.p for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def _echelon_bases(cols, k: int, p: int, width: int):
+    """Canonical RREF bases of the [len(cols); k]_p k-subspaces of F_p^width
+    whose rows vanish off the increasing columns cols, one each."""
+    for pivot_cols in combinations(cols, k):
         pivot_set = set(pivot_cols)
         free = [
             (i, j)
             for i in range(k)
-            for j in range(m)
+            for j in cols
             if j > pivot_cols[i] and j not in pivot_set
         ]
         for values in product(range(p), repeat=len(free)):
-            rows = [[0] * m for _ in range(k)]
+            rows = [[0] * width for _ in range(k)]
             for i, c in enumerate(pivot_cols):
                 rows[i][c] = 1
             for (i, j), v in zip(free, values):
@@ -288,32 +293,21 @@ def _count_flags(a: FqMatrix, dims: DimVector, bud: Budget) -> int:
     acols = [a.column(j) for j in range(d)]
     n = len(dims)
 
-    def extensions(v: FqSubspace, k: int):
-        # one lift per subspace of the quotient ambient/v
-        rest = [j for j in range(d) if j not in v.pivots]
-        bud.charge(_gauss(len(rest), k, p))
-        for _, srows in _echelon_bases(len(rest), k, p):
-            lifted = []
-            for srow in srows:
-                vec = [0] * d
-                for c, val in zip(rest, srow):
-                    if val:
-                        vec[c] = val
-                lifted.append(tuple(vec))
-            yield lifted
-
     def level(i: int, v: FqSubspace) -> int:
         if i == n - 1:
             # V_n is everything; a(V_n) <= V_{n-1} says the image sits in v
-            return 1 if all(v.contains_vector(col) for col in acols) else 0
+            return 0 if any(any(_reduce(v, col)) for col in acols) else 1
+        # one basis per subspace of the quotient ambient/v, on v's non-pivot columns
+        rest = [j for j in range(d) if j not in v.pivots]
+        bud.charge(_gauss(len(rest), dims[i], p))
         total = 0
-        for lifted in extensions(v, dims[i]):
-            if all(v.contains_vector(a.apply(row)) for row in lifted):
-                w = FqSubspace(p, d, *_rref(tuple(v.rows) + tuple(lifted), p))
+        for _, rows in _echelon_bases(rest, dims[i], p, d):
+            if not any(any(_reduce(v, a.apply(row))) for row in rows):
+                w = FqSubspace(p, d, *_rref(v.rows + rows, p))
                 total += level(i + 1, w)
         return total
 
-    return level(0, FqSubspace.zero(d, p))
+    return level(0, FqSubspace(p, d, (), ()))
 
 
 def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:

@@ -32,6 +32,7 @@ from .combinatorics import (
     _nilcone_dim,
     check_dimvec,
     check_partition,
+    check_size,
     conjugate,
     enumerate_partitions,
     flag_dim,
@@ -41,9 +42,10 @@ from .combinatorics import (
     sorted_weight,
     syt_count,
 )
-from .flaggeo import _as_budget, _fiber_count, _fiber_poly, check_prime
+from .flaggeo import Budget, _as_budget, _fiber_count, _fiber_poly, check_prime
 from .qpoly import LaurentPoly, _modified_kostka_foulkes
 
+MODES = ("polynomial", "numeric")
 CONVENTIONS = ("standard", "literal-paper")
 DEFAULT_PRIMES = (2, 3)
 
@@ -96,17 +98,19 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
-def _count_primes(primes) -> list[int]:
-    """The primes at which flags are counted: DEFAULT_PRIMES unless given."""
-    if primes is None:
-        return list(DEFAULT_PRIMES)
-    checked = [check_prime(q) for q in primes]
+def _run_options(mode: str, primes, convention: str, budget) -> tuple[list[int], Budget]:
+    """A run's options, each checked once: the primes at which flags are
+    counted, DEFAULT_PRIMES unless given, and the run's Budget."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
+    _check_convention(convention)
+    checked = list(DEFAULT_PRIMES) if primes is None else [check_prime(q) for q in primes]
     if not checked:
         raise ValueError("need at least one prime")
     for i, q in enumerate(checked):
         if q in checked[:i]:
             raise ValueError(f"prime {q} is given more than once")
-    return checked
+    return checked, _as_budget(budget)
 
 
 def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") -> LaurentPoly:
@@ -124,6 +128,7 @@ def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") ->
     be a partition of d and dv an n-vector summing to d.
     """
     _check_convention(convention)
+    n, d = check_size(n, d)
     lam = check_partition(lam)
     dv = check_dimvec(dv, n)
     if sum(lam) != d or sum(dv) != d:
@@ -229,11 +234,13 @@ def verify_trace_identity(
     every dv of it; the right side is built once per (lam, weight) and
     evaluated once per prime.
     """
-    _check_convention(convention)
-    if mode not in ("polynomial", "numeric"):
-        raise ValueError("mode must be 'polynomial' or 'numeric'")
-    budget = _as_budget(budget)
-    count_primes = _count_primes(primes)
+    count_primes, budget = _run_options(mode, primes, convention, budget)
+    return _trace_identity(n, d, mode, count_primes, convention, budget)
+
+
+def _trace_identity(n: int, d: int, mode: str, count_primes: list[int], convention: str,
+                    budget: Budget) -> CheckResult:
+    """The check of verify_trace_identity, for options _run_options returned."""
     rhs_at = _character_side(n, d, convention)
     # the right side and its values at the primes, per (lam, sorted weight)
     sides: dict[tuple[Partition, Partition], tuple[LaurentPoly, list]] = {}
@@ -400,9 +407,9 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
     """
     witnesses: list[dict] = []
     cases = 0
-    classes = _dimvec_classes(n, d)
+    parts, classes = enumerate_partitions(n, d), _dimvec_classes(n, d)  # checks (n, d) first
     total = 0
-    for P in enumerate_partitions(n, d):
+    for P in parts:
         shape = conjugate(P)
         dim = schur_dim(shape, n)
         total += syt_count(P) * dim
@@ -480,20 +487,13 @@ def run_suite(
     refusal is no verdict on the identities.  Like a bad prime, a negative
     budget raises ValueError before any check runs.
     """
-    if n < 1 or d < 1:
-        raise ValueError("run_suite needs n >= 1 and d >= 1")
-    if mode not in ("polynomial", "numeric"):
-        raise ValueError("mode must be 'polynomial' or 'numeric'")
-    _check_convention(convention)
-    primes = _count_primes(primes)
-    budget = _as_budget(budget)
+    n, d = check_size(n, d)
+    primes, budget = _run_options(mode, primes, convention, budget)
 
     checks: list[CheckResult] = []
     checks.append(_guarded(
         "trace_identity",
-        lambda: verify_trace_identity(
-            n, d, mode=mode, primes=primes, convention=convention,
-            budget=budget)))
+        lambda: _trace_identity(n, d, mode, primes, convention, budget)))
 
     if mode == "polynomial":
         checks.append(_guarded("semismall", lambda: verify_semismall(n, d)))

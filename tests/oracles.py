@@ -313,7 +313,7 @@ def enumerate_subspaces(ambient: FqSubspace, k: int):
         raise ValueError(f"k must lie in 0..{ambient.dim}, got {k}")
     m = ambient.dim
     whole = ambient.dim == ambient.ambient
-    for spivots, srows in _echelon_bases(m, k, ambient.p):
+    for spivots, srows in _echelon_bases(range(m), k, ambient.p, m):
         if whole:
             yield FqSubspace(ambient.p, ambient.ambient, spivots, srows)
         else:

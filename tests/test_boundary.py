@@ -101,21 +101,38 @@ REJECTED = {
     "verify_trace_identity mode": lambda: nilflag.verify_trace_identity(2, 2, mode="exact"),
     "verify_young_rule d=0": lambda: nilflag.verify_young_rule(0),
 }
-# each export over (n, d) refuses n = 0 and d = 0 rather than report a failed
-# check, and the refusal names the values: case -> (name, n, d)
+# the exports over (n, d)
+SIZED = ("verify_trace_identity", "verify_semismall", "verify_top_components",
+         "verify_schur_weyl", "verify_stalk_bootstrap", "bootstrap_stalks", "run_suite",
+         "nilcone_dim", "enumerate_dimvecs", "enumerate_partitions")
+# each refuses n = 0 and d = 0 rather than report a failed check, and the
+# refusal names the values: case -> (name, n, d)
 ND_REFUSALS = {
     f"{name} n={n} d={d}": (name, n, d)
-    for name in ("verify_trace_identity", "verify_semismall", "verify_top_components",
-                 "verify_schur_weyl", "verify_stalk_bootstrap", "bootstrap_stalks")
+    for name in SIZED[:7]
     for n, d in ((0, 3), (3, 0))
 }
 ND_REFUSALS.update({
     "nilcone_dim n=0": ("nilcone_dim", 0, 2),
     "enumerate_dimvecs n=0": ("enumerate_dimvecs", 0, 2),
+    "enumerate_partitions n=0": ("enumerate_partitions", 0, 2),
 })
 REJECTED.update({
     case: partial(getattr(nilflag, name), n, d) for case, (name, n, d) in ND_REFUSALS.items()
 })
+# a size that is not an int is refused as such, not truncated, compared or
+# passed on to fail deeper down
+NON_INTEGER_SIZES = {
+    f"{name} n={n!r} d={d!r}": partial(getattr(nilflag, name), n, d)
+    for name in SIZED
+    for n, d in ((2.5, 3), (3, "3"))
+}
+NON_INTEGER_SIZES.update({
+    "verify_young_rule d=3.5": partial(nilflag.verify_young_rule, 3.5),
+    "trace_identity_rhs d=3.0": partial(nilflag.trace_identity_rhs, 2, 3.0, (2, 1), (2, 1)),
+    "schur_dim n=2.5": partial(nilflag.schur_dim, (2, 1), 2.5),
+})
+REJECTED.update(NON_INTEGER_SIZES)
 
 # exported names that take none of the three
 TAKES_NONE = {
@@ -153,6 +170,12 @@ def test_nd_refusals_name_the_values(case):
         REJECTED[case]()
 
 
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_SIZES))
+def test_non_integer_sizes_are_refused(case):
+    with pytest.raises(ValueError, match="^not an integer: "):
+        REJECTED[case]()
+
+
 def test_non_integers_are_refused_by_name():
     with pytest.raises(ValueError, match=r"^not an integer: 3\.7$"):
         nilflag.fiber_count((2, 1), (1, 1, 1), NOT_AN_INT)
@@ -162,7 +185,8 @@ def test_non_integers_are_refused_by_name():
         nilflag.FqSubspace.span([(1, 0)], 2).contains_vector((0, 0.5))
 
 
-def test_no_input_checks_per_case(monkeypatch):
+def count_checks(monkeypatch, names) -> Counter:
+    """Calls of each named check, counted in every module that binds it."""
     calls: Counter = Counter()
 
     def counted(name, check):
@@ -172,19 +196,33 @@ def test_no_input_checks_per_case(monkeypatch):
         return wrapper
 
     for module in (combinatorics, flaggeo, qpoly, verifier):
-        for name in ("check_partition", "check_dimvec", "check_prime"):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_no_input_checks_per_case(monkeypatch):
+    calls = count_checks(monkeypatch, ("check_partition", "check_dimvec", "check_prime"))
     # the first run fills the budget's count memo, so the second enumerates
     # nothing and every check it makes is a check of its input
     budget = flaggeo.Budget()
-    verifier.run_suite(3, 5, mode="numeric", budget=budget)
+    verifier.run_suite(3, 5, mode="numeric", primes=[2, 3], budget=budget)
     calls.clear()
-    report = verifier.run_suite(3, 5, mode="numeric", budget=budget)
+    report = verifier.run_suite(3, 5, mode="numeric", primes=[2, 3], budget=budget)
     assert report.ok
     pairs = len(enumerate_partitions(3, 5)) * len(enumerate_dimvecs(3, 5))
-    assert calls["check_prime"] > 0
+    assert calls["check_prime"] == 2  # each given prime, once per run
     assert max(calls.values()) < pairs, calls
+
+
+def test_brute_oracle_checks_only_its_input(monkeypatch):
+    # the oracle's loop reduces the vectors it computed without checking them
+    lam, dimvec, p = (2, 1, 1, 1), (1, 2, 2), 3
+    expected = nilflag.fiber_count(lam, dimvec, p)
+    calls = count_checks(monkeypatch, ("check_int",))
+    assert nilflag.fiber_count_brute(lam, dimvec, p) == expected
+    assert 0 < calls["check_int"] <= len(lam) + len(dimvec) + 1, calls
 
 
 def test_caches_names_every_cache():

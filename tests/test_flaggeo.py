@@ -150,6 +150,12 @@ def test_enumerate_subspaces_counts_and_uniqueness():
                 assert len(seen) == gaussian_binomial(m, k)(p)
     with pytest.raises(ValueError):
         list(enumerate_subspaces(full_space(2, 2), 3))
+    # bases on columns 0, 2, 3 of F_3^5: zero off them, one per distinct span
+    cols, k, p = (0, 2, 3), 2, 3
+    bases = [rows for _, rows in _echelon_bases(cols, k, p, 5)]
+    assert all(row[j] == 0 for rows in bases for row in rows for j in (1, 4))
+    spans = {FqSubspace.span(rows, p, ambient=5).rows for rows in bases}
+    assert len(spans) == len(bases) == gaussian_binomial(len(cols), k)(p)
 
 
 def test_enumerate_subspaces_of_proper_ambient():
@@ -252,7 +258,7 @@ def test_right_pivot_census_against_elimination():
                 if gaussian_binomial(ell, k)(p) > 10**5:
                     continue
                 oracle = Counter(tuple(sorted(right_pivots(rows, p)))
-                                 for _, rows in _echelon_bases(ell, k, p))
+                                 for _, rows in _echelon_bases(range(ell), k, p, ell))
                 assert _right_pivot_census(ell, k, p) == oracle, (ell, k, p)
                 censuses += 1
     assert censuses == 88
@@ -282,7 +288,7 @@ def test_right_pivots_against_reversed_rref():
     for p in (2, 3, 5):
         for m in range(1, 5):
             for k in range(m + 1):
-                for _, rows in _echelon_bases(m, k, p):
+                for _, rows in _echelon_bases(range(m), k, p, m):
                     expected = right_pivots_by_rref(rows, p)
                     assert right_pivots(rows, p) == expected, (rows, p)
                     coeffs = [rng.randrange(p) for _ in rows]
