@@ -274,6 +274,11 @@ def schur_dim(shape, n: int) -> int:
     n = check_int(n)
     if n < 1:
         raise ValueError("schur_dim needs n >= 1")
+    return _schur_dim(shape, n)
+
+
+def _schur_dim(shape: Partition, n: int) -> int:
+    """schur_dim of a valid shape at n >= 1, unchecked."""
     if len(shape) > n:
         return 0
     num = 1

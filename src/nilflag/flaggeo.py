@@ -186,8 +186,8 @@ class FqMatrix(NamedTuple):
 class FqSubspace(NamedTuple):
     """Subspace of F_p^n held as its canonical reduced row-echelon basis.
 
-    span and zero check the prime; the field constructor trusts
-    its fields to be a canonical basis.
+    span checks the prime, and span([], p, ambient=n) is the zero
+    subspace; the field constructor trusts its fields to be a canonical basis.
     """
 
     p: int
@@ -209,10 +209,6 @@ class FqSubspace(NamedTuple):
             return cls(p, ambient, (), ())
         pivots, rows = _rref(vecs, p)
         return cls(p, ambient, pivots, rows)
-
-    @classmethod
-    def zero(cls, n: int, p) -> "FqSubspace":
-        return cls(check_prime(p), n, (), ())
 
     @property
     def dim(self) -> int:

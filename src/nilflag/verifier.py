@@ -7,13 +7,13 @@ Flags are counted over F_q at the run's primes (2 and 3 unless given):
 numeric mode compares those counts with the character side, and
 polynomial mode checks the fiber polynomials against them.  The three
 checks over (lam, dv) pairs run through _each_pair, which walks the
-nonzero compositions, the key on which fibers are memoized, and lists
-a composition's dvs only as witnesses.  The trace identity's right side,
-the stalk solve and its consistency check share _orbit_sum, stalk traces
-weighted by Kostka numbers.  Every check returns a CheckResult with
-pass/fail/skipped status and failure witnesses; a VerificationReport
-bundles them with the run parameters.  Both turn into plain dicts with
-as_dict; the command line writes them as JSON.
+nonzero compositions, the key on which fibers are memoized, and reports
+a failing composition once, as one witness for all of its dvs.  The trace
+identity's right side, the stalk solve and its consistency check share
+_orbit_sum, stalk traces weighted by Kostka numbers.  Every check returns
+a CheckResult with pass/fail/skipped status and failure witnesses; a
+VerificationReport bundles them with the run parameters.  Both turn into
+plain dicts with as_dict; the command line writes them as JSON.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .combinatorics import (
     _dominates,
     _kostka,
     _nilcone_dim,
+    _schur_dim,
     check_dimvec,
     check_partition,
     check_size,
@@ -38,7 +39,6 @@ from .combinatorics import (
     flag_dim,
     n_stat,
     orbit_dim,
-    schur_dim,
     sorted_weight,
     syt_count,
 )
@@ -188,13 +188,14 @@ def _witness_key(w: dict):
 
 
 def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> CheckResult:
-    """A check over every (lam, dv) pair, decided once per nonzero composition.
+    """A check over every (lam, dv) pair, decided and reported per nonzero composition.
 
     The one place where that rule is kept: failures(lam, weight, dv) runs
     per class of _dimvec_classes at its composition padded with zeros, its
     first dv, and yields the fields of each failed comparison.  Every dv of
-    the class counts as cases_per_pair cases; only a failure expands the
-    class, placing the parts at each k of the n positions, one witness per dv.
+    the class counts as cases_per_pair cases, and each failure is one
+    witness: its dimvec is that first dv, and it stands for all "dvs" of
+    the class, every dv whose nonzero entries, in order, are its own.
     """
     witnesses: list[dict] = []
     cases = 0
@@ -202,11 +203,9 @@ def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> Chec
     for lam in enumerate_partitions(n, d):
         for weight, dims, size in classes:
             cases += size * cases_per_pair
-            for fields in failures(lam, weight, dims + (0,) * (n - len(dims))):
-                for at in combinations(range(n), len(dims)):
-                    placed = dict(zip(at, dims))
-                    witnesses.append({"lambda": list(lam),
-                                      "dimvec": [placed.get(i, 0) for i in range(n)], **fields})
+            dv = dims + (0,) * (n - len(dims))
+            witnesses.extend({"lambda": list(lam), "dimvec": list(dv), "dvs": size, **fields}
+                             for fields in failures(lam, weight, dv))
     return CheckResult(name, cases, witnesses)
 
 
@@ -230,9 +229,9 @@ def verify_trace_identity(
 
     Both sides depend on dv only through its nonzero composition: the
     fiber by dropping zero jumps, the character side through its sorted
-    weight.  So _each_pair compares them once per class and reports
-    every dv of it; the right side is built once per (lam, weight) and
-    evaluated once per prime.
+    weight.  So _each_pair compares them once per class and reports a
+    failure once, at the class's first dv with its number of dvs; the
+    right side is built once per (lam, weight) and evaluated once per prime.
     """
     count_primes, budget = _run_options(mode, primes, convention, budget)
     return _trace_identity(n, d, mode, count_primes, convention, budget)
@@ -411,7 +410,7 @@ def verify_schur_weyl(n: int, d: int) -> CheckResult:
     total = 0
     for P in parts:
         shape = conjugate(P)
-        dim = schur_dim(shape, n)
+        dim = _schur_dim(shape, n)
         total += syt_count(P) * dim
         cases += 1
         weight_sum = sum(_kostka(shape, weight) * size for weight, _, size in classes)

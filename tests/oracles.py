@@ -46,6 +46,11 @@ dimvec_classes_by_grouping groups the enumerated dimension vectors by
 their nonzero composition; the tests compare the checks' walk over
 compositions, nilflag.verifier._dimvec_classes, with it.
 
+expand_witnesses places the nonzero entries of each class witness's
+dimvec at every choice of positions, one witness per dv of the class;
+the tests compare the failures a check reports once per class with the
+failing dvs found one by one.
+
 refines_by_packing decides strict refinement by packing the parts of p,
 largest first, into bins the size of r's parts, and dominates_by_padding
 compares prefix sums index by index with the shorter partition padded by
@@ -486,6 +491,21 @@ def dimvec_classes_by_grouping(n: int, d: int) -> list[tuple[Partition, list[Dim
     for dv in enumerate_dimvecs(n, d):
         classes.setdefault(_nonzero(dv), []).append(dv)
     return [(sorted_weight(dims), dvs) for dims, dvs in classes.items()]
+
+
+def expand_witnesses(n: int, witnesses: list[dict]) -> list[dict]:
+    """Each class witness of a per-pair check as one witness per dv of
+    its class: the dimvec's k nonzero entries placed at each k of the n
+    positions, with the class size "dvs" dropped."""
+    expanded = []
+    for w in witnesses:
+        dims = _nonzero(tuple(w["dimvec"]))
+        for at in combinations(range(n), len(dims)):
+            placed = dict(zip(at, dims))
+            dv = [placed.get(i, 0) for i in range(n)]
+            expanded.append({key: dv if key == "dimvec" else value
+                             for key, value in w.items() if key != "dvs"})
+    return expanded
 
 
 def refines_by_packing(p: Partition, r: Partition) -> bool:

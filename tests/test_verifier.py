@@ -13,7 +13,7 @@ from nilflag.combinatorics import (
     orbit_dim,
     sorted_weight,
 )
-from nilflag.flaggeo import Budget, fiber_polynomial
+from nilflag.flaggeo import Budget, fiber_count, fiber_polynomial
 from nilflag.qpoly import LaurentPoly, gaussian_binomial, modified_kostka_foulkes
 from nilflag.verifier import (
     bootstrap_stalks,
@@ -27,7 +27,13 @@ from nilflag.verifier import (
     verify_trace_identity,
     verify_young_rule,
 )
-from oracles import CACHES, dimvec_classes_by_grouping, refines_by_packing, rhs_by_definition
+from oracles import (
+    CACHES,
+    dimvec_classes_by_grouping,
+    expand_witnesses,
+    refines_by_packing,
+    rhs_by_definition,
+)
 
 
 class TestTraceIdentityRhs:
@@ -137,12 +143,37 @@ class TestTraceIdentity:
         # and the repaired pairing passes
         assert verify_trace_identity(2, 2).status == "pass"
 
+    @pytest.mark.parametrize("n,d,mode", [(3, 4, "polynomial"), (3, 4, "numeric"),
+                                          (4, 5, "numeric")])
+    def test_one_witness_per_failing_class(self, n, d, mode):
+        # the literal-paper pairing fails; expanded into its dvs, the one
+        # witness per failing class names exactly the (lam, dv, q) that fail
+        # when fiber_count meets the character side's definition dv by dv
+        primes = [2, 3]
+        result = verify_trace_identity(n, d, mode=mode, primes=primes,
+                                       convention="literal-paper")
+        failing = set()
+        for lam in enumerate_partitions(n, d):
+            for dv in enumerate_dimvecs(n, d):
+                rhs = rhs_by_definition(n, d, lam, dv, "literal-paper")
+                if mode == "polynomial" and fiber_polynomial(lam, dv) != rhs:
+                    failing.add((lam, dv, None))
+                else:
+                    failing |= {(lam, dv, q) for q in primes if fiber_count(lam, dv, q) != rhs(q)}
+        assert failing
+        expanded = expand_witnesses(n, result.witnesses)
+        assert len(expanded) == len(failing)
+        assert {(*_pair(w), w.get("q")) for w in expanded} == failing
+        for w in result.witnesses:
+            assert w["dvs"] == comb(n, sum(1 for x in w["dimvec"] if x))
+        classes = verifier._dimvec_classes(n, d)
+        assert len(result.witnesses) <= len(enumerate_partitions(n, d)) * len(classes) * len(primes)
+
 
 class TestDimvecClasses:
     def test_against_the_grouped_enumeration(self):
         # the walk over compositions against enumerate_dimvecs grouped by
-        # nonzero composition: weights, first dvs, sizes and order, and the
-        # dvs a failure expands each class into
+        # nonzero composition: weights, first dvs, sizes and order
         for n in range(1, 7):
             for d in range(1, 8):
                 grouped = dimvec_classes_by_grouping(n, d)
@@ -151,16 +182,6 @@ class TestDimvecClasses:
                 assert [dims + (0,) * (n - len(dims)) for _, dims, _ in classes] == [
                     dvs[0] for _, dvs in grouped]
                 assert [size for _, _, size in classes] == [len(dvs) for _, dvs in grouped]
-                first_lam = enumerate_partitions(n, d)[0]
-                result = verifier._each_pair(
-                    "expansion", n, d, 1,
-                    lambda lam, weight, dv: [{"first": dv}] if lam == first_lam else [])
-                assert result.cases == len(enumerate_partitions(n, d)) * comb(n + d - 1, d)
-                expanded: dict[tuple, set] = {}
-                for w in result.witnesses:
-                    expanded.setdefault(w["first"], set()).add(tuple(w["dimvec"]))
-                assert len(result.witnesses) == len(enumerate_dimvecs(n, d))
-                assert expanded == {dvs[0]: set(dvs) for _, dvs in grouped}
 
     def test_twelve_twelve(self):
         classes = verifier._dimvec_classes(12, 12)
@@ -339,6 +360,10 @@ class TestSuite:
             run_suite(2, 2, convention="mirror")
 
 
+def _pair(w):
+    return tuple(w["lambda"]), tuple(w["dimvec"])
+
+
 def _failed(result, keys):
     """The witnesses of a failed check, each with exactly the given keys."""
     assert result.status == "fail", result.name
@@ -354,22 +379,25 @@ class TestFailureBranches:
     def test_semismall_and_top_components(self, monkeypatch):
         # every pair fails semismall, and top_components wherever the
         # multiplicity is nonzero; at (4,6) a class spreads over up to 4
-        # positions, so each witness comes from expanding a class
+        # positions, and each (lam, class) is still one witness, at the
+        # class's first dv, carrying the class size
         monkeypatch.setattr(verifier, "_fiber_poly", lambda lam, dv: LaurentPoly.q_power(100))
         for n, d in [(2, 3), (4, 6)]:
-            pairs = {(lam, dv) for lam in enumerate_partitions(n, d)
-                     for dv in enumerate_dimvecs(n, d)}
+            firsts = {(lam, dims + (0,) * (n - len(dims))): (weight, size)
+                      for lam in enumerate_partitions(n, d)
+                      for weight, dims, size in verifier._dimvec_classes(n, d)}
             result = verify_semismall(n, d)
-            witnesses = _failed(result, {"lambda", "dimvec", "degree", "bound"})
-            assert len(witnesses) == result.cases
+            witnesses = _failed(result, {"lambda", "dimvec", "dvs", "degree", "bound"})
             assert all(w["degree"] == 100 for w in witnesses)
-            assert {(tuple(w["lambda"]), tuple(w["dimvec"])) for w in witnesses} == pairs
+            assert sorted(_pair(w) for w in witnesses) == sorted(firsts)
+            assert all(w["dvs"] == firsts[_pair(w)][1] for w in witnesses)
+            assert sum(w["dvs"] for w in witnesses) == result.cases
             witnesses = _failed(verify_top_components(n, d),
-                                {"lambda", "dimvec", "degree", "left", "right"})
+                                {"lambda", "dimvec", "dvs", "degree", "left", "right"})
             assert all(w["left"] == 0 != w["right"] for w in witnesses)
-            assert {(tuple(w["lambda"]), tuple(w["dimvec"])) for w in witnesses} == {
-                (lam, dv) for lam, dv in pairs
-                if verifier._kostka(conjugate(lam), sorted_weight(dv))}
+            assert sorted(_pair(w) for w in witnesses) == sorted(
+                (lam, dv) for (lam, dv), (weight, _) in firsts.items()
+                if verifier._kostka(conjugate(lam), weight))
 
     def test_stalk_hypothesis(self, monkeypatch):
         table = bootstrap_stalks(2, 3)
@@ -439,8 +467,8 @@ class TestFailureBranches:
         assert all(w["right"] == 0 for w in witnesses)
 
     def test_schur_weyl_tensor_power(self, monkeypatch):
-        real = verifier.schur_dim
-        monkeypatch.setattr(verifier, "schur_dim", lambda shape, n: real(shape, n) + 1)
+        real = verifier._schur_dim
+        monkeypatch.setattr(verifier, "_schur_dim", lambda shape, n: real(shape, n) + 1)
         result = verify_schur_weyl(2, 3)
         assert result.status == "fail"
         [total] = [w for w in result.witnesses if "lambda" not in w]
@@ -468,7 +496,7 @@ class TestFailureBranches:
         monkeypatch.setattr(verifier, "_fiber_poly",
                             lambda lam, dv: verifier.trace_identity_rhs(2, 2, lam, dv))
         result = verify_trace_identity(2, 2, mode=mode, primes=[2, 3])
-        witnesses = _failed(result, {"lambda", "dimvec", "q", "left", "right"})
+        witnesses = _failed(result, {"lambda", "dimvec", "dvs", "q", "left", "right"})
         assert {w["q"] for w in witnesses} == {2, 3}
 
 
