@@ -4,9 +4,9 @@ A LaurentPoly is a finitely supported map exponent -> integer
 coefficient; exponents may be negative.  Coefficients are Python ints,
 so arbitrary precision comes for free.  On top of the ring live the
 charge statistic on tableau words, Kostka-Foulkes polynomials and
-Gaussian binomial coefficients.  _gauss gives a Gaussian binomial as
-an int at one integer q, and _digits reads a polynomial with
-coefficients in [0, 2^B) back from its value at q = 2^B.
+Gaussian binomial coefficients.  _gauss gives a Gaussian binomial as an
+int at one integer q by its product formula, with no cache; _digits reads
+a polynomial with coefficients in [0, 2^B) back from its value at q = 2^B.
 
 Canonical text form: descending exponents, "q^2+q+1" style, with
 explicit negative exponents as in "q^-1+2q^-2".
@@ -233,13 +233,13 @@ def modified_kostka_foulkes(shape, weight) -> LaurentPoly:
     return _modified_kostka_foulkes(*_checked(shape, weight))
 
 
-@cache
 def _gauss(m: int, k: int, q: int) -> int:
-    if k > m:
-        return 0
-    if k == 0 or k == m:
-        return 1
-    return _gauss(m - 1, k - 1, q) + q**k * _gauss(m - 1, k, q)
+    # prod_{i<k} (q^(m-i) - 1) / (q^(i+1) - 1) with k read as min(k, m-k), 0 past m;
+    # each partial product is [m; i+1]_q, an int at every integer q >= 2
+    value = int(k <= m)
+    for i in range(min(k, m - k)):
+        value = value * (q ** (m - i) - 1) // (q ** (i + 1) - 1)
+    return value
 
 
 def _digits(value: int, bits: int) -> LaurentPoly:

@@ -95,7 +95,6 @@ CACHES = (
     combinatorics._strips,
     flaggeo._gray_table,
     flaggeo._strip_tally,
-    qpoly._gauss,
     qpoly._modified_kostka_foulkes,
 )
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nilflag import cli
+from nilflag import cli, fiber_count
 from nilflag.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 
@@ -223,6 +223,22 @@ def test_one_line_answers_past_the_recursion_limit(capsys):
     code, payload = run_json(capsys, "dimvecs", "--n", "1200", "--d", "1")
     assert code == EXIT_OK
     assert payload == {"dimvecs": [[int(i == j) for j in range(1200)] for i in range(1200)]}
+
+
+def test_zero_operator_counts_past_the_recursion_limit(capsys):
+    # a = 0 is counted by the closed-form Gaussian binomial [1200; 2]_q,
+    # here checked against its q-Pascal column [r; j]_q = [r-1; j-1]_q + q^j [r-1; j]_q
+    lam, dv = (1,) * 1200, (2, 1198)
+    for q in (2, 3):
+        column = [1, 0, 0]  # [r; j]_q for j <= 2, from r = 0
+        for _ in range(1200):
+            for j in (2, 1):
+                column[j] = column[j - 1] + q**j * column[j]
+        assert fiber_count(lam, dv, q) == column[2], q
+    code, payload = run_json(capsys, "fiber-count", "--lambda", ",".join(map(str, lam)),
+                             "--dimvec", "2,1198", "--q", "2")
+    assert code == EXIT_OK
+    assert payload == {"count": fiber_count(lam, dv, 2)}
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import random
 import re
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -440,6 +440,25 @@ def test_zero_jumps_count_as_the_nonzero_composition():
                         fresh = Budget()
                         assert fiber_count(lam, dv, p, budget=fresh) == count
                         assert fresh.used == budget.used, (lam, dv, p)
+
+
+def test_counts_are_symmetric_in_the_dimension_vector():
+    # Weyl symmetry: permuting dv changes neither the count nor the
+    # polynomial; the memo is keyed by the composition in order, so
+    # each permutation is counted along its own path
+    pairs = 0
+    for n, d in ((3, 5), (4, 6)):
+        budgets = {p: Budget() for p in (2, 3)}
+        for lam in enumerate_partitions(n, d):
+            for dv in enumerate_dimvecs(n, d):
+                counts = {p: fiber_count(lam, dv, p, budget=b) for p, b in budgets.items()}
+                poly = fiber_polynomial(lam, dv)
+                for perm in set(permutations(dv)):
+                    pairs += 1
+                    assert fiber_polynomial(lam, perm) == poly, (lam, dv, perm)
+                    for p, b in budgets.items():
+                        assert fiber_count(lam, perm, p, budget=b) == counts[p], (lam, perm, p)
+    assert pairs == 10_647
 
 
 def test_fiber_polynomial_fixed_points():
