@@ -435,29 +435,23 @@ def verify_young_rule(d: int) -> CheckResult:
     """Multiplicity-one and vanishing pattern that pins each shape.
 
     kostka_number(P, P) = 1 for every partition P of d, and
-    kostka_number(P, P') = 0 whenever P strictly refines P'.
+    kostka_number(P, P') = 0 whenever P strictly refines P'.  The check
+    walks each partition's coarsenings: P itself, then every P' made by
+    merging parts of P, in lexicographically decreasing order.
     """
     witnesses: list[dict] = []
     cases = 0
-    parts = enumerate_partitions(d, d)
-    for P in parts:
-        cases += 1
-        if _kostka(P, P) != 1:
-            witnesses.append({
-                "lambda": list(P),
-                "left": _kostka(P, P),
-                "right": 1,
-            })
-        for Q in parts:
-            if Q != P and Q in _coarsenings(P):
-                cases += 1
-                if _kostka(P, Q) != 0:
-                    witnesses.append({
-                        "lambda": list(P),
-                        "coarser": list(Q),
-                        "left": _kostka(P, Q),
-                        "right": 0,
-                    })
+    for P in enumerate_partitions(d, d):
+        for Q in (P, *sorted(_coarsenings(P) - {P}, reverse=True)):
+            cases += 1
+            left, right = _kostka(P, Q), int(Q == P)
+            if left != right:
+                witnesses.append({
+                    "lambda": list(P),
+                    **({} if Q == P else {"coarser": list(Q)}),
+                    "left": left,
+                    "right": right,
+                })
     return CheckResult("young_rule", cases, witnesses)
 
 

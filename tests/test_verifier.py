@@ -278,7 +278,7 @@ class TestDimensionChecks:
         for d in range(1, 11):
             assert verify_young_rule(d).status == "pass"
 
-    @pytest.mark.parametrize("d, cases", [(5, 26), (6, 55), (12, 1873)])
+    @pytest.mark.parametrize("d, cases", [(5, 26), (6, 55), (12, 1873), (14, 5308)])
     def test_young_rule_cases(self, d, cases):
         # one diagonal case per partition of d, one per strict refinement
         parts = enumerate_partitions(d, d)
@@ -485,6 +485,22 @@ class TestFailureBranches:
         refining = [w for w in result.witnesses if "coarser" in w]
         assert refining and all(set(w) == {"lambda", "coarser", "left", "right"}
                                 and w["right"] == 0 for w in refining)
+
+    def test_young_rule_witness_order(self, monkeypatch):
+        # each partition's diagonal witness first, then its coarsenings in
+        # lexicographically decreasing order
+        real = verifier._kostka
+        wrong = {((3, 2, 1), (3, 2, 1)): 2, ((3, 2, 1), (5, 1)): 1, ((3, 2, 1), (3, 3)): 1}
+        monkeypatch.setattr(verifier, "_kostka", lambda P, Q: wrong.get((P, Q), real(P, Q)))
+        result = verify_young_rule(6)
+        expected = [
+            {"lambda": [3, 2, 1], "left": 2, "right": 1},
+            {"lambda": [3, 2, 1], "coarser": [5, 1], "left": 1, "right": 0},
+            {"lambda": [3, 2, 1], "coarser": [3, 3], "left": 1, "right": 0},
+        ]
+        assert result.cases == 55
+        assert result.witnesses == expected
+        assert [list(w) for w in result.witnesses] == [list(w) for w in expected]
 
     @pytest.mark.parametrize("mode", ["polynomial", "numeric"])
     def test_trace_identity_count_witness(self, monkeypatch, mode):
