@@ -26,13 +26,9 @@ from .combinatorics import (
 from .flaggeo import (
     Budget,
     BudgetExceeded,
-    FqMatrix,
-    FqSubspace,
-    count_flags,
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
-    jordan_matrix,
 )
 from .qpoly import (
     LaurentPoly,

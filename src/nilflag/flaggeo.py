@@ -1,9 +1,9 @@
-"""Exact linear algebra over prime fields and nilpotent-stable flag counting.
+"""Nilpotent-stable flag counting over prime fields.
 
-Matrices are tuples of row tuples of residues mod p; subspaces carry
-their unique reduced row-echelon basis, so each subspace has exactly one
-representation.  Vectors are row tuples; a matrix acts on the vector v
-as the column product a*v.
+A vector of F_p^d is one int: coordinate j is the base-p digit in bits
+width*j.., with width one bit more than p - 1 needs, so a digitwise sum
+stays inside its digit and one carry test reduces it mod p.  Both routes
+that enumerate subspaces hold their vectors so.
 
 fiber_count_brute counts flags over F_p straight from the definition,
 one step at a time.  fiber_count and fiber_polynomial share one
@@ -32,7 +32,6 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, chain, combinations, product, repeat
 from math import factorial
-from typing import NamedTuple
 
 from .combinatorics import (
     DimVector,
@@ -87,14 +86,12 @@ class Budget:
 
 def _named(lam, dimvec, p: int, count, *args) -> int:
     """count(*args), whose refusal names the instance it counts: its Jordan
-    type lam, left out when None (an operator given as a matrix), its
-    dimension vector and its prime."""
+    type lam, its dimension vector and its prime."""
     try:
         return count(*args)
     except BudgetExceeded as exc:
-        jordan = "" if lam is None else f"lambda={list(lam)}, "
         raise BudgetExceeded(
-            f"{exc} counting {jordan}dimvec={list(dimvec)}, q={p}") from None
+            f"{exc} counting lambda={list(lam)}, dimvec={list(dimvec)}, q={p}") from None
 
 
 def _as_budget(budget) -> Budget:
@@ -123,189 +120,6 @@ def check_prime(p) -> int:
     return p
 
 
-def _rref(rows, p: int):
-    """Reduced row echelon form: (pivot columns, nonzero rows)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c] % p, p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c] % p
-                row_r = mat[r]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(pivots), tuple(tuple(row) for row in mat[:r])
-
-
-class FqMatrix(NamedTuple):
-    """Matrix over F_p as a tuple of row tuples of residues.
-
-    FqMatrix.build checks its input; the field constructor trusts it.
-    """
-
-    p: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, rows, p) -> "FqMatrix":
-        p = check_prime(p)
-        normalized = tuple(tuple(check_int(x) % p for x in row) for row in rows)
-        if len({len(r) for r in normalized}) > 1:
-            raise ValueError("rows have mixed lengths")
-        return cls(p, normalized)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def apply(self, vec) -> tuple[int, ...]:
-        """The column product a * vec."""
-        return tuple(sum(x * y for x, y in zip(row, vec)) % self.p for row in self.rows)
-
-
-class FqSubspace(NamedTuple):
-    """Subspace of F_p^n held as its canonical reduced row-echelon basis.
-
-    span checks the prime, and span([], p, ambient=n) is the zero
-    subspace; the field constructor trusts its fields to be a canonical basis.
-    """
-
-    p: int
-    ambient: int
-    pivots: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def span(cls, vectors, p, ambient: int | None = None) -> "FqSubspace":
-        p = check_prime(p)
-        vecs = [tuple(check_int(x) % p for x in v) for v in vectors]
-        if ambient is None:
-            if not vecs:
-                raise ValueError("ambient dimension required for an empty span")
-            ambient = len(vecs[0])
-        if any(len(v) != ambient for v in vecs):
-            raise ValueError("vectors have mixed lengths")
-        if not vecs:
-            return cls(p, ambient, (), ())
-        pivots, rows = _rref(vecs, p)
-        return cls(p, ambient, pivots, rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Canonical representative of vec modulo this subspace."""
-        return _reduce(self, [check_int(x) % self.p for x in vec])
-
-    def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
-
-def _reduce(v: FqSubspace, w) -> tuple[int, ...]:
-    """FqSubspace.reduce for a vector w of residues mod v.p."""
-    for row, c in zip(v.rows, v.pivots):
-        f = w[c]
-        if f:
-            w = [(x - f * y) % v.p for x, y in zip(w, row)]
-    return tuple(w)
-
-
-def _echelon_bases(cols, k: int, p: int, width: int):
-    """Canonical RREF bases of the [len(cols); k]_p k-subspaces of F_p^width
-    whose rows vanish off the increasing columns cols, one each."""
-    for pivot_cols in combinations(cols, k):
-        pivot_set = set(pivot_cols)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in cols
-            if j > pivot_cols[i] and j not in pivot_set
-        ]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[0] * width for _ in range(k)]
-            for i, c in enumerate(pivot_cols):
-                rows[i][c] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield pivot_cols, tuple(tuple(r) for r in rows)
-
-
-def jordan_matrix(lam, p) -> FqMatrix:
-    """Block-diagonal nilpotent with ones on each block's superdiagonal."""
-    return _jordan_matrix(check_partition(lam), check_prime(p))
-
-
-def _jordan_matrix(lam: Partition, p: int) -> FqMatrix:
-    d = sum(lam)
-    rows = [[0] * d for _ in range(d)]
-    start = 0
-    for part in lam:
-        for i in range(start, start + part - 1):
-            rows[i][i + 1] = 1
-        start += part
-    return FqMatrix(p, tuple(tuple(r) for r in rows))
-
-
-def count_flags(a: FqMatrix, dimvec, *, budget=None) -> int:
-    """Count flags with jump vector dimvec moved one step down by a.
-
-    Direct enumeration of the definition: flags 0 = V_0 <= ... <= V_n,
-    dim(V_i/V_{i-1}) = dimvec[i-1], with a(V_i) inside V_{i-1} at every
-    step.  This is the oracle route: no memoization, no closed forms.
-    """
-    dims = check_dimvec(dimvec)
-    if a.nrows != a.ncols:
-        raise ValueError("count_flags needs a square matrix")
-    if sum(dims) != a.nrows:
-        raise ValueError("dimension vector total and matrix size differ")
-    return _named(None, dims, a.p, _count_flags, a, dims, _as_budget(budget))
-
-
-def _count_flags(a: FqMatrix, dims: DimVector, bud: Budget) -> int:
-    """The count of count_flags for a valid instance."""
-    p = a.p
-    d = a.nrows
-    acols = [a.column(j) for j in range(d)]
-    n = len(dims)
-
-    def level(i: int, v: FqSubspace) -> int:
-        if i == n - 1:
-            # V_n is everything; a(V_n) <= V_{n-1} says the image sits in v
-            return 0 if any(any(_reduce(v, col)) for col in acols) else 1
-        # one basis per subspace of the quotient ambient/v, on v's non-pivot columns
-        rest = [j for j in range(d) if j not in v.pivots]
-        bud.charge(_gauss(len(rest), dims[i], p))
-        total = 0
-        for _, rows in _echelon_bases(rest, dims[i], p, d):
-            if not any(any(_reduce(v, a.apply(row))) for row in rows):
-                w = FqSubspace(p, d, *_rref(v.rows + rows, p))
-                total += level(i + 1, w)
-        return total
-
-    return level(0, FqSubspace(p, d, (), ()))
-
-
 def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     """Exact flag count by direct enumeration (the oracle route)."""
     lam = check_partition(lam)
@@ -313,7 +127,67 @@ def fiber_count_brute(lam, dimvec, p, *, budget=None) -> int:
     p = check_prime(p)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    return _named(lam, dimvec, p, _count_flags, _jordan_matrix(lam, p), dimvec, _as_budget(budget))
+    return _named(lam, dimvec, p, _count_flags, lam, dimvec, p, _as_budget(budget))
+
+
+def _count_flags(lam: Partition, dims: DimVector, p: int, bud: Budget) -> int:
+    """Flags 0 = V_0 <= ... <= V_n of F_p^d, dim(V_i/V_{i-1}) = dims[i-1],
+    with a(V_i) inside V_{i-1} at every step, for a of Jordan type lam:
+    direct enumeration of the definition, with no memo and no closed form.
+
+    Coordinate j is digit j, and a sends e_j to e_(j-1) inside its block
+    and the block's first e_j to 0, so a(w) is one shift and one mask.
+    V_i is held as its echelon rows, by pivot: each row is zero left of
+    its pivot and 1 there, with its multiples by 0..p-1.  Each step
+    writes the rows of one basis per subspace of the quotient by V_i on
+    the columns that are no pivot yet, and keeps the rows whose image
+    lies in V_i; w lies in V_i when clearing its digits at the pivots,
+    left to right, leaves nothing.
+    """
+    d = sum(lam)
+    n = len(dims)
+    width = (p - 1).bit_length() + 1  # a digit sum below 2p fits, with a bit to spare
+    mask = (1 << width) - 1
+    ones = sum(1 << (width * j) for j in range(d))
+    high = ones << (width - 1)
+    lift = ones * ((1 << (width - 1)) - p)  # carries into a digit's high bit iff it reaches p
+    last = {stop - 1 for stop in accumulate(lam)}  # each block's last digit
+    keep = sum(mask << (width * j) for j in range(d) if j not in last)
+
+    def add(x, y):  # digitwise x + y mod p
+        s = x + y
+        return s - (((s + lift) & high) >> (width - 1)) * p
+
+    def a(w):  # e_j -> e_(j-1), and each block's first e_j -> 0
+        return (w >> width) & keep
+
+    def inside(w, rows):
+        for c, times in rows:
+            x = (w >> (width * c)) & mask
+            if x:
+                w = add(w, times[p - x])
+        return not w
+
+    def level(i: int, rest: tuple[int, ...], rows) -> int:
+        if i == n - 1:
+            # V_n is everything; a(V_n) <= V_{n-1} says each a(e_j) lies in it
+            return int(all(inside(a(1 << (width * j)), rows) for j in range(d)))
+        bud.charge(_gauss(len(rest), dims[i], p))
+        total = 0
+        for pivots in combinations(rest, dims[i]):
+            left = tuple(j for j in rest if j not in pivots)
+            stable = []
+            for c in pivots:
+                free = [1 << (width * j) for j in left if j > c]
+                words = ((1 << (width * c)) + sum(x * u for x, u in zip(xs, free))
+                         for xs in product(range(p), repeat=len(free)))
+                stable.append([(c, list(accumulate(repeat(v, p - 1), add, initial=0)))
+                               for v in words if inside(a(v), rows)])
+            for new in product(*stable):
+                total += level(i + 1, left, sorted(rows + list(new)))
+        return total
+
+    return level(0, tuple(range(d)), [])
 
 
 # words per cached Gray table; longer walks chain copies of one, so a large

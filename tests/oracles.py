@@ -9,6 +9,13 @@ rhs_by_definition is the character side of the trace identity for one
 (lam, dv) pair, with every multiplicity counted as the tableaux of the
 unsorted content dv, as a check on nilflag.verifier.trace_identity_rhs.
 
+FqMatrix and FqSubspace hold F_p matrices as tuples of row tuples of
+residues and subspaces as their reduced row echelon bases.  count_flags
+walks flags over them one step at a time from the definition, for any
+square matrix; the tests compare the package's brute-force route over
+packed words, nilflag.flaggeo.fiber_count_brute, with it at
+jordan_matrix(lam, p), counts and budget charges both.
+
 enumerate_subspaces and quotient_type are the matrix route to the
 kernel/quotient tally: each subspace of an ambient is lifted to ambient
 coordinates, and the Jordan type of the map induced on the quotient is
@@ -68,7 +75,8 @@ keep the tuple whole.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from nilflag import combinatorics, flaggeo, qpoly
 from nilflag.combinatorics import (
@@ -85,8 +93,8 @@ from nilflag.combinatorics import (
     n_stat,
     sorted_weight,
 )
-from nilflag.flaggeo import FqMatrix, FqSubspace, _echelon_bases, _nonzero, _rref
-from nilflag.qpoly import LaurentPoly, modified_kostka_foulkes
+from nilflag.flaggeo import Budget, _nonzero
+from nilflag.qpoly import LaurentPoly, _gauss, modified_kostka_foulkes
 
 
 CACHES = (
@@ -166,6 +174,160 @@ def interpolate(samples, degree_bound: int) -> LaurentPoly:
                 f"non-integer coefficient {c} at degree {t}; "
                 "wrong degree bound or a counting bug")
     return LaurentPoly({t: int(c) for t, c in enumerate(coeffs) if c})
+
+
+def _rref(rows, p: int):
+    """Reduced row echelon form: (pivot columns, nonzero rows)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), ()
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c] % p, p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] % p:
+                f = mat[i][c] % p
+                row_r = mat[r]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(pivots), tuple(tuple(row) for row in mat[:r])
+
+
+class FqMatrix(NamedTuple):
+    """Matrix over F_p as a tuple of row tuples of residues."""
+
+    p: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def build(cls, rows, p: int) -> "FqMatrix":
+        normalized = tuple(tuple(x % p for x in row) for row in rows)
+        if len({len(r) for r in normalized}) > 1:
+            raise ValueError("rows have mixed lengths")
+        return cls(p, normalized)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.rows[0]) if self.rows else 0
+
+    def column(self, j: int) -> tuple[int, ...]:
+        return tuple(row[j] for row in self.rows)
+
+    def apply(self, vec) -> tuple[int, ...]:
+        """The column product a * vec."""
+        return tuple(sum(x * y for x, y in zip(row, vec)) % self.p for row in self.rows)
+
+
+class FqSubspace(NamedTuple):
+    """Subspace of F_p^n held as its canonical reduced row-echelon basis;
+    span([], p, ambient=n) is the zero subspace."""
+
+    p: int
+    ambient: int
+    pivots: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def span(cls, vectors, p: int, ambient: int | None = None) -> "FqSubspace":
+        vecs = [tuple(x % p for x in v) for v in vectors]
+        if ambient is None:
+            ambient = len(vecs[0])
+        return cls(p, ambient, *_rref(vecs, p))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> tuple[int, ...]:
+        """Canonical representative of vec modulo this subspace."""
+        return _reduce(self, [x % self.p for x in vec])
+
+    def contains_vector(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+
+def _reduce(v: FqSubspace, w) -> tuple[int, ...]:
+    """FqSubspace.reduce for a vector w of residues mod v.p."""
+    for row, c in zip(v.rows, v.pivots):
+        f = w[c]
+        if f:
+            w = [(x - f * y) % v.p for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def echelon_bases(cols, k: int, p: int, width: int):
+    """Canonical RREF bases of the [len(cols); k]_p k-subspaces of F_p^width
+    whose rows vanish off the increasing columns cols, one each."""
+    for pivot_cols in combinations(cols, k):
+        pivot_set = set(pivot_cols)
+        free = [
+            (i, j)
+            for i in range(k)
+            for j in cols
+            if j > pivot_cols[i] and j not in pivot_set
+        ]
+        for values in product(range(p), repeat=len(free)):
+            rows = [[0] * width for _ in range(k)]
+            for i, c in enumerate(pivot_cols):
+                rows[i][c] = 1
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield pivot_cols, tuple(tuple(r) for r in rows)
+
+
+def jordan_matrix(lam: Partition, p: int) -> FqMatrix:
+    """Block-diagonal nilpotent with ones on each block's superdiagonal."""
+    d = sum(lam)
+    rows = [[0] * d for _ in range(d)]
+    start = 0
+    for part in lam:
+        for i in range(start, start + part - 1):
+            rows[i][i + 1] = 1
+        start += part
+    return FqMatrix(p, tuple(tuple(r) for r in rows))
+
+
+def count_flags(a: FqMatrix, dims, *, budget: Budget | None = None) -> int:
+    """Flags 0 = V_0 <= ... <= V_n with dim(V_i/V_{i-1}) = dims[i-1] and
+    a(V_i) inside V_{i-1} at every step, for a square matrix a.
+
+    Each step charges the budget [m; k]_p for the k-subspaces of the
+    quotient by V_i, one RREF basis each on V_i's non-pivot columns,
+    then keeps those whose rows a sends into V_i.
+    """
+    bud = Budget() if budget is None else budget
+    p = a.p
+    d = a.nrows
+    acols = [a.column(j) for j in range(d)]
+    n = len(dims)
+
+    def level(i: int, v: FqSubspace) -> int:
+        if i == n - 1:
+            # V_n is everything; a(V_n) <= V_{n-1} says the image sits in v
+            return 0 if any(any(_reduce(v, col)) for col in acols) else 1
+        rest = [j for j in range(d) if j not in v.pivots]
+        bud.charge(_gauss(len(rest), dims[i], p))
+        total = 0
+        for _, rows in echelon_bases(rest, dims[i], p, d):
+            if not any(any(_reduce(v, a.apply(row))) for row in rows):
+                total += level(i + 1, FqSubspace(p, d, *_rref(v.rows + rows, p)))
+        return total
+
+    return level(0, FqSubspace(p, d, (), ()))
 
 
 def right_pivots(rows, p: int) -> list[int]:
@@ -317,7 +479,7 @@ def enumerate_subspaces(ambient: FqSubspace, k: int):
         raise ValueError(f"k must lie in 0..{ambient.dim}, got {k}")
     m = ambient.dim
     whole = ambient.dim == ambient.ambient
-    for spivots, srows in _echelon_bases(range(m), k, ambient.p, m):
+    for spivots, srows in echelon_bases(range(m), k, ambient.p, m):
         if whole:
             yield FqSubspace(ambient.p, ambient.ambient, spivots, srows)
         else:

@@ -21,18 +21,7 @@ NOT_AN_INT = 3.7  # refused, where int() would truncate it to 3
 # each exported name that takes a partition, dimension vector or prime,
 # with calls that hand it a malformed one
 MALFORMED = {
-    "FqMatrix": [
-        lambda c: c.build([[0, 1], [0, 0]], BAD_PRIME),
-        lambda c: c.build([[0, NOT_AN_INT], [0, 0]], 2),
-    ],
-    "FqSubspace": [
-        lambda c: c.span([(1, 0)], BAD_PRIME),
-        lambda c: c.span([(1, NOT_AN_INT)], 2),
-        lambda c: c.span([(1, 0)], 2).contains_vector((0, 0.5)),
-        lambda c: c.span([(1, 0)], 2).reduce((1.9, 0.5)),
-    ],
     "charge": [lambda f: f(((2,), (3,))), lambda f: f(((0, 1),)), lambda f: f(((1.0,),))],
-    "count_flags": [lambda f: f(nilflag.jordan_matrix((2, 1), 2), BAD_DIMVEC)],
     "dominates": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
     "enumerate_ssyt": [
         lambda f: f(BAD_PARTITION, (1, 1, 1)),
@@ -55,7 +44,6 @@ MALFORMED = {
         lambda f: f((2, 1), BAD_DIMVEC),
         lambda f: f("21", "111"),  # not read digit by digit
     ],
-    "jordan_matrix": [lambda f: f(BAD_PARTITION, 2), lambda f: f((2, 1), BAD_PRIME)],
     "kostka_foulkes": [lambda f: f(BAD_PARTITION, (1, 1, 1)), lambda f: f((2, 1), BAD_PARTITION)],
     "kostka_number": [
         lambda f: f(BAD_PARTITION, (1, 1, 1)),
@@ -88,12 +76,6 @@ REJECTED = {
     "gaussian_binomial non-integer m": lambda: nilflag.gaussian_binomial(2.5, 1),
     "enumerate_ssyt sizes differ": lambda: nilflag.enumerate_ssyt((2, 1), (1, 1)),
     "schur_dim n=0": lambda: nilflag.schur_dim((2, 1), 0),
-    "span of no rows": lambda: nilflag.FqSubspace.span([], 2),
-    "span of ragged rows": lambda: nilflag.FqSubspace.span([(1, 0), (1,)], 2),
-    "count_flags non-square": lambda: nilflag.count_flags(
-        nilflag.FqMatrix.build([[0, 1, 0], [0, 0, 1]], 2), (1, 1)),
-    "count_flags total": lambda: nilflag.count_flags(
-        nilflag.jordan_matrix((2, 1), 2), (1, 1)),
     "fiber_count_brute sizes differ": lambda: nilflag.fiber_count_brute((2, 1), (1, 1), 2),
     "modified_kostka_foulkes sizes differ": lambda: nilflag.modified_kostka_foulkes(
         (2, 1), (2,)),
@@ -180,8 +162,6 @@ def test_non_integers_are_refused_by_name():
         nilflag.fiber_count((2, 1), (1, 1, 1), NOT_AN_INT)
     with pytest.raises(ValueError, match="^not an integer: '2'$"):
         nilflag.fiber_polynomial("21", "111")
-    with pytest.raises(ValueError, match=r"^not an integer: 0\.5$"):
-        nilflag.FqSubspace.span([(1, 0)], 2).contains_vector((0, 0.5))
 
 
 def count_checks(monkeypatch, names) -> Counter:

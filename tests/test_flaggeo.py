@@ -17,28 +17,28 @@ from nilflag.combinatorics import (
 from nilflag.flaggeo import (
     Budget,
     BudgetExceeded,
-    FqMatrix,
-    FqSubspace,
-    _echelon_bases,
     _kernel_quotient_tally,
     _right_pivot_census,
     check_prime,
-    count_flags,
     fiber_count,
     fiber_count_brute,
     fiber_polynomial,
     is_prime,
-    jordan_matrix,
 )
 from nilflag.qpoly import LaurentPoly, gaussian_binomial
 from oracles import (
+    FqMatrix,
+    FqSubspace,
     _induced_type,
     contains,
+    count_flags,
+    echelon_bases,
     enumerate_subspaces,
     fiber_poly_by_strips,
     full_space,
     interpolate,
     is_zero,
+    jordan_matrix,
     jordan_type,
     kernel_subspace,
     mul,
@@ -151,7 +151,7 @@ def test_enumerate_subspaces_counts_and_uniqueness():
         list(enumerate_subspaces(full_space(2, 2), 3))
     # bases on columns 0, 2, 3 of F_3^5: zero off them, one per distinct span
     cols, k, p = (0, 2, 3), 2, 3
-    bases = [rows for _, rows in _echelon_bases(cols, k, p, 5)]
+    bases = [rows for _, rows in echelon_bases(cols, k, p, 5)]
     assert all(row[j] == 0 for rows in bases for row in rows for j in (1, 4))
     spans = {FqSubspace.span(rows, p, ambient=5).rows for rows in bases}
     assert len(spans) == len(bases) == gaussian_binomial(len(cols), k)(p)
@@ -257,7 +257,7 @@ def test_right_pivot_census_against_elimination():
                 if gaussian_binomial(ell, k)(p) > 10**5:
                     continue
                 oracle = Counter(tuple(sorted(right_pivots(rows, p)))
-                                 for _, rows in _echelon_bases(range(ell), k, p, ell))
+                                 for _, rows in echelon_bases(range(ell), k, p, ell))
                 assert _right_pivot_census(ell, k, p) == oracle, (ell, k, p)
                 censuses += 1
     assert censuses == 88
@@ -287,7 +287,7 @@ def test_right_pivots_against_reversed_rref():
     for p in (2, 3, 5):
         for m in range(1, 5):
             for k in range(m + 1):
-                for _, rows in _echelon_bases(range(m), k, p, m):
+                for _, rows in echelon_bases(range(m), k, p, m):
                     expected = right_pivots_by_rref(rows, p)
                     assert right_pivots(rows, p) == expected, (rows, p)
                     coeffs = [rng.randrange(p) for _ in rows]
@@ -358,6 +358,27 @@ def test_count_flags_representative_independence():
                     assert count_flags(conj, dv) == expected
 
 
+def test_brute_route_against_the_tuple_reference():
+    # the packed oracle against count_flags over tuples of residues at the
+    # Jordan matrix: counts and charges, one Budget each, on every lambda
+    # and every dv up to length d + 1, zero jumps included; at d = 4 up to
+    # length 4, and at p = 5 up to length 3, as full flags of F_5^4 would
+    # cost about 5 s more, most of it in the reference
+    instances = 0
+    for d in range(1, 5):
+        for p in (2, 3, 5):
+            longest = d + 1 if d < 4 else 3 if p == 5 else 4
+            for lam in enumerate_partitions(d, d):
+                a = jordan_matrix(lam, p)
+                for dv in (dv for n in range(1, longest + 1) for dv in enumerate_dimvecs(n, d)):
+                    packed, reference = Budget(), Budget()
+                    count = fiber_count_brute(lam, dv, p, budget=packed)
+                    assert count == count_flags(a, dv, budget=reference), (lam, dv, p)
+                    assert packed.used == reference.used, (lam, dv, p)
+                    instances += 1
+    assert instances == 1049
+
+
 def test_fiber_count_brute_examples():
     for q in (2, 3, 5):
         assert fiber_count_brute((1, 1), (1, 1), q) == q + 1
@@ -422,7 +443,7 @@ def test_zero_jumps_count_as_the_nonzero_composition():
     # changes neither the count, which the brute route still finds by
     # walking every zero step, nor the polynomial, nor what a run is charged
     for d in range(1, 6):
-        # at d = 5, three steps would cost the brute route about 12 s at p = 3
+        # at d = 5, three steps would cost the brute route about 2 s more
         steps = (1, 2, 3) if d < 5 else (1, 2)
         compositions = [dv for n in steps for dv in enumerate_dimvecs(n, d) if all(dv)]
         for dense in compositions:
@@ -547,11 +568,14 @@ def test_charge_counts_only_admitted_batches():
 
 
 def test_count_flags_refusal_names_its_instance():
-    # a matrix carries no Jordan type: the refusal names the jumps and the prime
+    # the brute route's refusal names the instance; the reference, which
+    # charges the same batches, refuses at the same total
     with pytest.raises(BudgetExceeded) as refusal:
-        count_flags(jordan_matrix((1, 1, 1), 3), (1, 1, 1), budget=3)
+        fiber_count_brute((1, 1, 1), (1, 1, 1), 3, budget=3)
     assert str(refusal.value) == (
-        "subspace budget exhausted (13 > 3) counting dimvec=[1, 1, 1], q=3")
+        "subspace budget exhausted (13 > 3) counting lambda=[1, 1, 1], dimvec=[1, 1, 1], q=3")
+    with pytest.raises(BudgetExceeded, match=r"\(13 > 3\)$"):
+        count_flags(jordan_matrix((1, 1, 1), 3), (1, 1, 1), budget=Budget(3))
 
 
 def test_budget_refusal():
