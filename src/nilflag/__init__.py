@@ -4,7 +4,9 @@ The package counts partial flags moved one step down by a nilpotent
 matrix, reconstructs the count polynomials in q, and verifies that they
 match explicit combinations of charge q-analogs and weight
 multiplicities, together with degree bounds and top-coefficient
-corollaries.
+corollaries.  The exports are what a command of the command line or a
+step of CI calls, and the types they take, return or raise; run_suite
+runs every check, as `nilflag verify` does.
 
 Input is checked where it enters: every name exported here, and the
 command line, rejects a malformed size, partition, dimension vector or
@@ -13,15 +15,10 @@ not check them again.
 """
 
 from .combinatorics import (
-    dominates,
     enumerate_dimvecs,
     enumerate_partitions,
-    enumerate_ssyt,
     kostka_number,
-    nilcone_dim,
     parse_parts,
-    refines,
-    schur_dim,
 )
 from .flaggeo import (
     Budget,
@@ -30,25 +27,16 @@ from .flaggeo import (
     fiber_count_brute,
     fiber_polynomial,
 )
-from .qpoly import (
-    LaurentPoly,
-    charge,
-    gaussian_binomial,
-    kostka_foulkes,
-    modified_kostka_foulkes,
-    word_charge,
-)
+from .qpoly import LaurentPoly, kostka_foulkes
 from .verifier import (
     StalkConsistencyError,
     bootstrap_stalks,
     run_suite,
-    trace_identity_rhs,
     verify_schur_weyl,
     verify_semismall,
     verify_stalk_bootstrap,
     verify_stalk_hypothesis,
     verify_top_components,
-    verify_trace_identity,
     verify_young_rule,
 )
 

@@ -100,31 +100,10 @@ def conjugate(p: Partition) -> Partition:
     return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
 
 
-def dominates(p, r) -> bool:
-    """Prefix-sum (dominance) order on partitions of the same size."""
-    p = check_partition(p)
-    r = check_partition(r)
-    if sum(p) != sum(r):
-        raise ValueError("dominance compares partitions of equal size")
-    return _dominates(p, r)
-
-
 def _dominates(p: Partition, r: Partition) -> bool:
+    """Prefix-sum (dominance) order on valid partitions of the same size."""
     # equal sizes, so a p with more parts than r already fails at r's last part
     return all(a >= b for a, b in zip(accumulate(p), accumulate(r)))
-
-
-def refines(p, r) -> bool:
-    """True iff r is obtained by merging groups of parts of p, with p != r.
-
-    This is strict refinement: parts of p are split into groups whose
-    sums give the multiset of parts of r.
-    """
-    p = check_partition(p)
-    r = check_partition(r)
-    if sum(p) != sum(r):
-        raise ValueError("refinement compares partitions of equal size")
-    return p != r and r in _coarsenings(p)
 
 
 @cache
@@ -146,16 +125,9 @@ def orbit_dim(lam: Partition) -> int:
     return d * d - sum(c * c for c in conjugate(lam))
 
 
-def nilcone_dim(n: int, d: int) -> int:
-    """Dimension of the variety of d x d matrices whose n-th power vanishes.
-
-    Equals the orbit dimension of the dominance-greatest Jordan type with
-    parts at most n (k full parts of size n plus one remainder part).
-    """
-    return _nilcone_dim(*check_size(n, d))
-
-
 def _nilcone_dim(n: int, d: int) -> int:
+    """Dimension of the variety of d x d matrices whose n-th power vanishes:
+    the orbit dimension of the dominance-greatest type with parts at most n."""
     k, r = divmod(d, n)
     top = (n,) * k + ((r,) if r else ())
     return orbit_dim(top)
@@ -199,22 +171,6 @@ def _ssyt(shape: Partition, weight: tuple[int, ...]) -> list[Tableau]:
         return [] if shape else [()]
     return [tuple(row + (len(weight),) * b for row, b in zip(t + ((),) * len(taken), taken))
             for inner, taken in _strips(shape, weight[-1]) for t in _ssyt(inner, weight[:-1])]
-
-
-def enumerate_ssyt(shape, content) -> list[Tableau]:
-    """All semistandard tableaux of the given shape and content.
-
-    Content is a composition: entry i is the multiplicity of the letter
-    i+1 (zeros allowed).  Rows weakly increase, columns strictly
-    increase.  Tableaux come out sorted by their rows, top row first.
-    """
-    shape = check_partition(shape)
-    weight = tuple(map(check_int, content))
-    if any(x < 0 for x in weight):
-        raise ValueError(f"content multiplicities must be non-negative: {weight}")
-    if sum(shape) != sum(weight):
-        raise ValueError("shape size and content total differ")
-    return sorted(_ssyt(shape, weight))
 
 
 def sorted_weight(content) -> Partition:
@@ -263,22 +219,9 @@ def syt_count(shape: Partition) -> int:
     return math.factorial(sum(shape)) // denom
 
 
-def schur_dim(shape, n: int) -> int:
-    """Dimension of the degree-|shape| polynomial functor of an n-space.
-
-    Hook-content formula; zero when the shape has more than n rows.  The
-    value also equals the sum of kostka_number(shape, dv) over all
-    dimension vectors dv of length n, which tests cross-check.
-    """
-    shape = check_partition(shape)
-    n = check_int(n)
-    if n < 1:
-        raise ValueError("schur_dim needs n >= 1")
-    return _schur_dim(shape, n)
-
-
 def _schur_dim(shape: Partition, n: int) -> int:
-    """schur_dim of a valid shape at n >= 1, unchecked."""
+    """Dimension of the degree-|shape| polynomial functor of an n-space, n >= 1,
+    by the hook-content formula; zero when the shape has more than n rows."""
     if len(shape) > n:
         return 0
     num = 1

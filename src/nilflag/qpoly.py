@@ -3,10 +3,12 @@
 A LaurentPoly is a finitely supported map exponent -> integer
 coefficient; exponents may be negative.  Coefficients are Python ints,
 so arbitrary precision comes for free.  On top of the ring live the
-charge statistic on tableau words, Kostka-Foulkes polynomials and
-Gaussian binomial coefficients.  _gauss gives a Gaussian binomial as an
-int at one integer q by its product formula, with no cache; _digits reads
-a polynomial with coefficients in [0, 2^B) back from its value at q = 2^B.
+charge of a tableau word (_charge), the cached table of modified
+Kostka-Foulkes polynomials that runs read, and its reflection
+kostka_foulkes, the one export here that checks its input.  _gauss gives
+a Gaussian binomial as an int at one integer q by its product formula,
+with no cache; _digits reads a polynomial with coefficients in [0, 2^B)
+back from its value at q = 2^B.
 
 Canonical text form: descending exponents, "q^2+q+1" style, with
 explicit negative exponents as in "q^-1+2q^-2".
@@ -21,7 +23,6 @@ from .combinatorics import (
     Partition,
     Tableau,
     _ssyt,
-    check_int,
     check_partition,
     n_stat,
 )
@@ -155,29 +156,10 @@ def reading_word(t: Tableau) -> tuple[int, ...]:
     return tuple(word)
 
 
-def word_charge(word) -> int:
-    """Charge of a word whose content is a partition.
-
-    Standard subwords are extracted by scanning right to left and
-    picking the letters 1, 2, ... in turn, wrapping around cyclically;
-    every wrap bumps the index and each picked letter contributes the
-    current index.
-    """
-    w = list(map(check_int, word))
-    if not w:
-        return 0
-    if min(w) < 1:
-        raise ValueError(f"word letters must be positive: {tuple(w)}")
-    counts = Counter(w)
-    multiplicities = [counts.get(v, 0) for v in range(1, max(counts) + 1)]
-    for a, b in zip(multiplicities, multiplicities[1:]):
-        if a < b:
-            raise ValueError(f"word content is not a partition: {multiplicities}")
-    return _charge(w)
-
-
 def _charge(w: list[int]) -> int:
-    """word_charge of a valid word given as a list, which it empties."""
+    """Charge of a word with partition content, given as a list, which it empties:
+    standard subwords are picked right to left, the letters 1, 2, ... in turn,
+    cyclically; each wrap bumps the index that each picked letter adds."""
     total = 0
     while w:
         biggest = max(w)
@@ -198,22 +180,11 @@ def _charge(w: list[int]) -> int:
     return total
 
 
-def charge(t) -> int:
-    """Charge of a semistandard tableau with partition content."""
-    return word_charge(reading_word(tuple(tuple(row) for row in t)))
-
-
 @cache
 def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
+    """q^{n(weight)} * kostka_foulkes(shape, weight)(1/q), for valid partitions."""
     top = n_stat(weight)
     return LaurentPoly(Counter(top - _charge(list(reading_word(t))) for t in _ssyt(shape, weight)))
-
-
-def _checked(shape, weight) -> tuple[Partition, Partition]:
-    shape, weight = check_partition(shape), check_partition(weight)
-    if sum(shape) != sum(weight):
-        raise ValueError("shape size and weight size differ")
-    return shape, weight
 
 
 def kostka_foulkes(shape, weight) -> LaurentPoly:
@@ -221,16 +192,13 @@ def kostka_foulkes(shape, weight) -> LaurentPoly:
 
     Weight must be a partition.  The value at q=1 is the Kostka number;
     the zero polynomial is returned when no tableaux exist.  It is the
-    reflection of the cached modified_kostka_foulkes.
+    reflection of the cached table _modified_kostka_foulkes.
     """
-    shape, weight = _checked(shape, weight)
+    shape, weight = check_partition(shape), check_partition(weight)
+    if sum(shape) != sum(weight):
+        raise ValueError("shape size and weight size differ")
     top = n_stat(weight)
     return LaurentPoly({top - e: c for e, c in _modified_kostka_foulkes(shape, weight).items()})
-
-
-def modified_kostka_foulkes(shape, weight) -> LaurentPoly:
-    """The normalization q^{n(weight)} * kostka_foulkes(shape, weight)(1/q)."""
-    return _modified_kostka_foulkes(*_checked(shape, weight))
 
 
 def _gauss(m: int, k: int, q: int) -> int:
@@ -247,14 +215,3 @@ def _digits(value: int, bits: int) -> LaurentPoly:
     mask = (1 << bits) - 1
     return LaurentPoly({e: value >> bits * e & mask
                         for e in range(value.bit_length() // bits + 1)})
-
-
-def gaussian_binomial(m: int, k: int) -> LaurentPoly:
-    """q-binomial coefficient; counts k-subspaces of an m-space at prime powers.
-
-    k > m gives 0.  Read off at q = 2^(m+1), as the coefficients sum to C(m, k) < 2^(m+1).
-    """
-    m, k = check_int(m), check_int(k)
-    if m < 0 or k < 0:
-        raise ValueError("gaussian_binomial needs m >= 0 and k >= 0")
-    return _digits(_gauss(m, k, 2 << m), m + 1)

@@ -31,8 +31,6 @@ from .combinatorics import (
     _kostka,
     _nilcone_dim,
     _schur_dim,
-    check_dimvec,
-    check_partition,
     check_size,
     conjugate,
     enumerate_partitions,
@@ -93,54 +91,14 @@ class VerificationReport(NamedTuple):
         return {"params": self.params, "checks": [c.as_dict() for c in self.checks]}
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-
-
-def _run_options(mode: str, primes, convention: str, budget) -> tuple[list[int], Budget]:
-    """A run's options, each checked once: the primes at which flags are
-    counted, DEFAULT_PRIMES unless given, and the run's Budget."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
-    _check_convention(convention)
-    checked = list(DEFAULT_PRIMES) if primes is None else [check_prime(q) for q in primes]
-    if not checked:
-        raise ValueError("need at least one prime")
-    for i, q in enumerate(checked):
-        if q in checked[:i]:
-            raise ValueError(f"prime {q} is given more than once")
-    return checked, _as_budget(budget)
-
-
-def trace_identity_rhs(n: int, d: int, lam, dv, convention: str = "standard") -> LaurentPoly:
-    """Predicted count polynomial for (lam, dv) from the character data.
-
-    q^(flag_dim(dv) - n_stat(1^d)) times the sum over admissible Jordan
-    types P of the modified charge polynomial at (P, lam) weighted by the
-    multiplicity of dv in the module attached to P.  The standard
-    convention reads that multiplicity off the conjugate shape; the
-    literal-paper convention keeps P itself and is retained only to show
-    it fails.
-
-    Weight multiplicities and flag_dim are invariant under permuting dv,
-    so the value depends on dv only through its sorted weight.  lam must
-    be a partition of d and dv an n-vector summing to d.
-    """
-    _check_convention(convention)
-    n, d = check_size(n, d)
-    lam = check_partition(lam)
-    dv = check_dimvec(dv, n)
-    if sum(lam) != d or sum(dv) != d:
-        raise ValueError(f"lambda {lam} and dimvec {dv} must both sum to d={d}")
-    return _character_side(n, d, convention)(lam, sorted_weight(dv))
-
-
 def _character_side(n: int, d: int, convention: str):
-    """trace_identity_rhs as a function of (lam, sorted weight), for one run.
+    """(lam, sorted weight of dv) -> the right side at (lam, dv), for one run.
 
-    A right side is the orbit sum of the modified charge polynomials at
-    lam, read from their cached bodies and shifted as it is summed.
+    q^(flag_dim(dv) - n_stat(1^d)) times the orbit sum over admissible P
+    of the cached modified charge polynomial at (P, lam), weighted by the
+    multiplicity of dv in P's module: that of conjugate(P) under the
+    standard convention, of P under literal-paper, which is kept only to
+    show it fails.  Multiplicities and flag_dim ignore the order of dv.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) if convention == "standard" else P for P in parts}
@@ -209,37 +167,18 @@ def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> Chec
     return CheckResult(name, cases, witnesses)
 
 
-def verify_trace_identity(
-    n: int,
-    d: int,
-    *,
-    mode: str = "polynomial",
-    primes=None,
-    convention: str = "standard",
-    budget=None,
-) -> CheckResult:
-    """Check the count identity for every (lam, dv) pair at (n, d).
-
-    Polynomial mode demands exact equality of Laurent polynomials, then
-    checks the fiber polynomial against the enumerated flag count at
-    each of the primes; one pair is one case.  Numeric mode compares the
-    enumerated counts with the character side at each prime, one case
-    per pair and prime.  One Budget covers every count of the run; a
-    refusal raises BudgetExceeded.
-
-    Both sides depend on dv only through its nonzero composition: the
-    fiber by dropping zero jumps, the character side through its sorted
-    weight.  So _each_pair compares them once per class and reports a
-    failure once, at the class's first dv with its number of dvs; the
-    right side is built once per (lam, weight) and evaluated once per prime.
-    """
-    count_primes, budget = _run_options(mode, primes, convention, budget)
-    return _trace_identity(n, d, mode, count_primes, convention, budget)
-
-
 def _trace_identity(n: int, d: int, mode: str, count_primes: list[int], convention: str,
                     budget: Budget) -> CheckResult:
-    """The check of verify_trace_identity, for options _run_options returned."""
+    """The trace identity at every (lam, dv) of (n, d), on run_suite's options.
+
+    Polynomial mode compares the Laurent polynomials exactly, then the
+    fiber polynomial with the enumerated count at each prime, one case per
+    pair; numeric mode compares the counts with the character side, one
+    case per pair and prime.  Both sides depend on dv only through its
+    nonzero composition, so _each_pair compares each class once; a right
+    side is built once per (lam, weight) and evaluated once per prime.
+    One Budget covers every count; a refusal raises BudgetExceeded.
+    """
     rhs_at = _character_side(n, d, convention)
     # the right side and its values at the primes, per (lam, sorted weight)
     sides: dict[tuple[Partition, Partition], tuple[LaurentPoly, list]] = {}
@@ -342,7 +281,7 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, dict | None]:
 def verify_stalk_hypothesis(table: dict) -> CheckResult:
     """Compare solved stalk traces with the modified charge polynomials.
 
-    Claim: t_P(lam) = q^(-n_stat(1^d)) * modified_kostka_foulkes(P, lam),
+    Claim: t_P(lam) = q^(-n_stat(1^d)) * _modified_kostka_foulkes(P, lam),
     with d = |P|.
     """
     witnesses: list[dict] = []
@@ -364,7 +303,7 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     """Degree bounds on every fiber polynomial.
 
     deg <= flag_dim(dv) - orbit_dim(lam)/2 per component, and
-    deg <= (nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
+    deg <= (_nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
     """
     dims = {lam: orbit_dim(lam) for lam in enumerate_partitions(n, d)}
     cone = _nilcone_dim(n, d)
@@ -401,8 +340,8 @@ def verify_top_components(n: int, d: int) -> CheckResult:
 def verify_schur_weyl(n: int, d: int) -> CheckResult:
     """Dimension bookkeeping for the tensor power of an n-space.
 
-    Sum over admissible P of syt_count(P) * schur_dim(conjugate(P), n)
-    must equal n^d, and each schur_dim must equal its Kostka weight sum.
+    Sum over admissible P of syt_count(P) * _schur_dim(conjugate(P), n)
+    must equal n^d, and each _schur_dim must equal its Kostka weight sum.
     """
     witnesses: list[dict] = []
     cases = 0
@@ -477,11 +416,22 @@ def run_suite(
     skipped in numeric mode.  The report carries no timestamps, so equal
     parameters give byte-identical output.  The budget caps the subspaces
     the whole run enumerates; running out raises BudgetExceeded, since a
-    refusal is no verdict on the identities.  Like a bad prime, a negative
-    budget raises ValueError before any check runs.
+    refusal is no verdict on the identities.  Flags are counted at the
+    primes, DEFAULT_PRIMES unless given.  A bad mode, convention or prime,
+    like a negative budget, raises ValueError before any check runs.
     """
     n, d = check_size(n, d)
-    primes, budget = _run_options(mode, primes, convention, budget)
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}")
+    primes = list(DEFAULT_PRIMES) if primes is None else [check_prime(q) for q in primes]
+    if not primes:
+        raise ValueError("need at least one prime")
+    for i, q in enumerate(primes):
+        if q in primes[:i]:
+            raise ValueError(f"prime {q} is given more than once")
+    budget = _as_budget(budget)
 
     checks: list[CheckResult] = []
     checks.append(_guarded(

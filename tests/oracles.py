@@ -7,7 +7,8 @@ vertical-strip recursion in nilflag.flaggeo.
 
 rhs_by_definition is the character side of the trace identity for one
 (lam, dv) pair, with every multiplicity counted as the tableaux of the
-unsorted content dv, as a check on nilflag.verifier.trace_identity_rhs.
+unsorted content dv that ssyt_by_cells fills, as a check on
+nilflag.verifier._character_side, which reads Kostka numbers from strips.
 
 FqMatrix and FqSubspace hold F_p matrices as tuples of row tuples of
 residues and subspaces as their reduced row echelon bases.  count_flags
@@ -88,13 +89,12 @@ from nilflag.combinatorics import (
     conjugate,
     enumerate_dimvecs,
     enumerate_partitions,
-    enumerate_ssyt,
     flag_dim,
     n_stat,
     sorted_weight,
 )
 from nilflag.flaggeo import Budget, _nonzero
-from nilflag.qpoly import LaurentPoly, _gauss, modified_kostka_foulkes
+from nilflag.qpoly import LaurentPoly, _gauss, _modified_kostka_foulkes
 
 
 CACHES = (
@@ -111,7 +111,7 @@ def rhs_by_definition(n: int, d: int, lam, dv, convention: str) -> LaurentPoly:
     total = LaurentPoly()
     for P in enumerate_partitions(n, d):
         shape = conjugate(P) if convention == "standard" else P
-        total = total + modified_kostka_foulkes(P, lam) * len(enumerate_ssyt(shape, dv))
+        total = total + _modified_kostka_foulkes(P, lam) * len(ssyt_by_cells(shape, dv))
     return total.shift(flag_dim(dv) - n_stat((1,) * d))
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from nilflag import cli
 from nilflag.combinatorics import (
+    _schur_dim,
     conjugate,
     enumerate_dimvecs,
     enumerate_partitions,
     kostka_number,
-    schur_dim,
     syt_count,
 )
 from nilflag.flaggeo import (
@@ -197,7 +197,7 @@ def test_criterion_08_schur_weyl_dimensions():
             total = 0
             for P in enumerate_partitions(n, d):
                 shape = conjugate(P)
-                dim = schur_dim(shape, n)
+                dim = _schur_dim(shape, n)
                 total += syt_count(P) * dim
                 weight_sum = sum(kostka_number(shape, dv) for dv in dimvecs)
                 if dim != weight_sum:

@@ -21,13 +21,6 @@ NOT_AN_INT = 3.7  # refused, where int() would truncate it to 3
 # each exported name that takes a partition, dimension vector or prime,
 # with calls that hand it a malformed one
 MALFORMED = {
-    "charge": [lambda f: f(((2,), (3,))), lambda f: f(((0, 1),)), lambda f: f(((1.0,),))],
-    "dominates": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
-    "enumerate_ssyt": [
-        lambda f: f(BAD_PARTITION, (1, 1, 1)),
-        lambda f: f((2, 1), BAD_DIMVEC),
-        lambda f: f((2, 1), (1, 1, 1.0)),
-    ],
     "fiber_count": [
         lambda f: f(BAD_PARTITION, (1, 1, 1), 2),
         lambda f: f((2, 1), BAD_DIMVEC, 2),
@@ -50,51 +43,27 @@ MALFORMED = {
         lambda f: f((2, 1), BAD_DIMVEC),
         lambda f: f((2.9, 1), (1, 1, 1)),
     ],
-    "modified_kostka_foulkes": [
-        lambda f: f(BAD_PARTITION, (1, 1, 1)),
-        lambda f: f((2, 1), BAD_PARTITION),
-    ],
-    "refines": [lambda f: f(BAD_PARTITION, (2, 1)), lambda f: f((2, 1), BAD_PARTITION)],
     "run_suite": [lambda f: f(2, 3, primes=[BAD_PRIME])],
-    "schur_dim": [lambda f: f(BAD_PARTITION, 2)],
-    "trace_identity_rhs": [
-        lambda f: f(3, 3, BAD_PARTITION, (1, 1, 1)),
-        lambda f: f(3, 3, (2, 1), BAD_DIMVEC),
-    ],
-    "verify_trace_identity": [lambda f: f(2, 3, mode="numeric", primes=[BAD_PRIME])],
-    "word_charge": [
-        lambda f: f((1, 3)),
-        lambda f: f((0, 1)),
-        lambda f: f((-1, 1)),
-        lambda f: f((1, 1.5)),
-    ],
 }
 
 # other malformed input that the boundary rejects, one call each
 REJECTED = {
     "Budget non-integer limit": lambda: nilflag.Budget(10.9),
-    "gaussian_binomial non-integer m": lambda: nilflag.gaussian_binomial(2.5, 1),
-    "enumerate_ssyt sizes differ": lambda: nilflag.enumerate_ssyt((2, 1), (1, 1)),
-    "schur_dim n=0": lambda: nilflag.schur_dim((2, 1), 0),
     "fiber_count_brute sizes differ": lambda: nilflag.fiber_count_brute((2, 1), (1, 1), 2),
-    "modified_kostka_foulkes sizes differ": lambda: nilflag.modified_kostka_foulkes(
-        (2, 1), (2,)),
-    "verify_trace_identity mode": lambda: nilflag.verify_trace_identity(2, 2, mode="exact"),
     "verify_young_rule d=0": lambda: nilflag.verify_young_rule(0),
 }
 # the exports over (n, d)
-SIZED = ("verify_trace_identity", "verify_semismall", "verify_top_components",
-         "verify_schur_weyl", "verify_stalk_bootstrap", "bootstrap_stalks", "run_suite",
-         "nilcone_dim", "enumerate_dimvecs", "enumerate_partitions")
+SIZED = ("verify_semismall", "verify_top_components", "verify_schur_weyl",
+         "verify_stalk_bootstrap", "bootstrap_stalks", "run_suite",
+         "enumerate_dimvecs", "enumerate_partitions")
 # each refuses n = 0 and d = 0 rather than report a failed check, and the
 # refusal names the values: case -> (name, n, d)
 ND_REFUSALS = {
     f"{name} n={n} d={d}": (name, n, d)
-    for name in SIZED[:7]
+    for name in SIZED[:6]
     for n, d in ((0, 3), (3, 0))
 }
 ND_REFUSALS.update({
-    "nilcone_dim n=0": ("nilcone_dim", 0, 2),
     "enumerate_dimvecs n=0": ("enumerate_dimvecs", 0, 2),
     "enumerate_partitions n=0": ("enumerate_partitions", 0, 2),
 })
@@ -108,19 +77,27 @@ NON_INTEGER_SIZES = {
     for name in SIZED
     for n, d in ((2.5, 3), (3, "3"))
 }
-NON_INTEGER_SIZES.update({
-    "verify_young_rule d=3.5": partial(nilflag.verify_young_rule, 3.5),
-    "trace_identity_rhs d=3.0": partial(nilflag.trace_identity_rhs, 2, 3.0, (2, 1), (2, 1)),
-    "schur_dim n=2.5": partial(nilflag.schur_dim, (2, 1), 2.5),
-})
+NON_INTEGER_SIZES["verify_young_rule d=3.5"] = partial(nilflag.verify_young_rule, 3.5)
 REJECTED.update(NON_INTEGER_SIZES)
+
+# run_suite checks a run's mode, convention, primes and budget, each once
+# and before any check runs: case -> (options, refusal text)
+RUN_SUITE_REFUSALS = {
+    "mode": ({"mode": "exact"}, "mode must be 'polynomial' or 'numeric'"),
+    "convention": ({"convention": "mirror"},
+                   "convention must be one of ('standard', 'literal-paper')"),
+    "bad prime": ({"primes": [BAD_PRIME]}, "4 is not prime"),
+    "repeated prime": ({"primes": [2, 3, 2]}, "prime 2 is given more than once"),
+    "no prime": ({"primes": []}, "need at least one prime"),
+    "negative budget": ({"budget": -3}, "budget must be non-negative"),
+}
 
 # exported names that take none of the three
 TAKES_NONE = {
     "Budget", "BudgetExceeded", "LaurentPoly", "StalkConsistencyError", "bootstrap_stalks",
-    "enumerate_dimvecs", "enumerate_partitions", "gaussian_binomial", "nilcone_dim",
-    "parse_parts", "verify_schur_weyl", "verify_semismall", "verify_stalk_bootstrap",
-    "verify_stalk_hypothesis", "verify_top_components", "verify_young_rule",
+    "enumerate_dimvecs", "enumerate_partitions", "parse_parts", "verify_schur_weyl",
+    "verify_semismall", "verify_stalk_bootstrap", "verify_stalk_hypothesis",
+    "verify_top_components", "verify_young_rule",
 }
 
 
@@ -129,6 +106,7 @@ def test_every_export_is_classified():
                 if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert set(MALFORMED) | TAKES_NONE == exported
     assert not set(MALFORMED) & TAKES_NONE
+    assert len(exported) == 20
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -155,6 +133,14 @@ def test_nd_refusals_name_the_values(case):
 def test_non_integer_sizes_are_refused(case):
     with pytest.raises(ValueError, match="^not an integer: "):
         REJECTED[case]()
+
+
+@pytest.mark.parametrize("case", sorted(RUN_SUITE_REFUSALS))
+def test_run_suite_refuses_bad_options_by_text(case):
+    options, text = RUN_SUITE_REFUSALS[case]
+    with pytest.raises(ValueError) as refused:
+        nilflag.run_suite(2, 2, **options)
+    assert str(refused.value) == text
 
 
 def test_non_integers_are_refused_by_name():
@@ -222,9 +208,7 @@ def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
         return call
 
     for module in (nilflag, combinatorics, flaggeo, qpoly, verifier):
-        for name in ("word_charge", "charge", "gaussian_binomial", "enumerate_ssyt",
-                     "kostka_number", "kostka_foulkes", "modified_kostka_foulkes",
-                     "fiber_count", "fiber_polynomial", "nilcone_dim", "schur_dim"):
+        for name in ("kostka_number", "kostka_foulkes", "fiber_count", "fiber_polynomial"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused(name))
     for cached in CACHES:

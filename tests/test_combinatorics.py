@@ -4,24 +4,24 @@ from itertools import permutations, product
 import pytest
 
 from nilflag.combinatorics import (
+    _coarsenings,
+    _dominates,
     _kostka,
+    _nilcone_dim,
+    _schur_dim,
+    _ssyt,
     check_dimvec,
     check_partition,
     conjugate,
-    dominates,
     enumerate_dimvecs,
     enumerate_partitions,
-    enumerate_ssyt,
     flag_dim,
     format_parts,
     hook_lengths,
     kostka_number,
     n_stat,
-    nilcone_dim,
     orbit_dim,
     parse_parts,
-    refines,
-    schur_dim,
     syt_count,
 )
 from oracles import (
@@ -38,6 +38,16 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
 def all_partitions(d):
     return enumerate_partitions(d, d)
+
+
+def refines(p, r):
+    """Whether p strictly refines r: r is a coarsening of p other than p."""
+    return p != r and r in _coarsenings(p)
+
+
+def ssyt(shape, content):
+    """The tableaux of _ssyt sorted by their rows, top row first."""
+    return sorted(_ssyt(shape, content))
 
 
 def test_check_partition_rejects_bad_input():
@@ -109,16 +119,14 @@ def test_conjugate_examples_and_involution():
 
 
 def test_dominates():
-    assert dominates((2, 1), (1, 1, 1))
-    assert not dominates((2, 2), (3, 1))
+    assert _dominates((2, 1), (1, 1, 1))
+    assert not _dominates((2, 2), (3, 1))
     # incomparable pair, both directions false
-    assert not dominates((3, 1, 1, 1), (2, 2, 2))
-    assert not dominates((2, 2, 2), (3, 1, 1, 1))
+    assert not _dominates((3, 1, 1, 1), (2, 2, 2))
+    assert not _dominates((2, 2, 2), (3, 1, 1, 1))
     for d in range(1, 7):
         for p in all_partitions(d):
-            assert dominates(p, p)
-    with pytest.raises(ValueError):
-        dominates((2,), (1, 1, 1))
+            assert _dominates(p, p)
 
 
 def test_refines_examples():
@@ -126,8 +134,6 @@ def test_refines_examples():
     assert refines((2, 1), (3,))
     assert not refines((2, 2), (3, 1))
     assert not refines((2, 1), (2, 1))
-    with pytest.raises(ValueError):
-        refines((2,), (3,))
 
 
 def test_both_orders_against_their_oracles():
@@ -137,7 +143,7 @@ def test_both_orders_against_their_oracles():
         for p in parts:
             for r in parts:
                 assert refines(p, r) == refines_by_packing(p, r), (p, r)
-                assert dominates(p, r) == dominates_by_padding(p, r), (p, r)
+                assert _dominates(p, r) == dominates_by_padding(p, r), (p, r)
 
 
 def test_refines_implies_dominated():
@@ -146,7 +152,7 @@ def test_refines_implies_dominated():
         for p in parts:
             for r in parts:
                 if refines(p, r):
-                    assert dominates(r, p), (p, r)
+                    assert _dominates(r, p), (p, r)
 
 
 def test_n_stat():
@@ -193,18 +199,18 @@ def test_orbit_dim_even_and_monotone():
             assert orbit_dim(p) % 2 == 0
         for p in parts:
             for r in parts:
-                if p != r and dominates(p, r):
+                if p != r and _dominates(p, r):
                     assert orbit_dim(p) > orbit_dim(r), (p, r)
 
 
 def test_nilcone_dim():
-    assert nilcone_dim(2, 2) == 2
-    assert nilcone_dim(2, 3) == 4
-    assert nilcone_dim(3, 3) == 6
+    assert _nilcone_dim(2, 2) == 2
+    assert _nilcone_dim(2, 3) == 4
+    assert _nilcone_dim(3, 3) == 6
     # independent route: the maximum orbit dimension over admissible types
     for n in range(1, 5):
         for d in range(1, 7):
-            assert nilcone_dim(n, d) == max(
+            assert _nilcone_dim(n, d) == max(
                 orbit_dim(p) for p in enumerate_partitions(n, d))
 
 
@@ -233,11 +239,11 @@ def test_flag_dim():
 
 
 def test_enumerate_ssyt_examples():
-    two = enumerate_ssyt((2, 1), (1, 1, 1))
+    two = ssyt((2, 1), (1, 1, 1))
     assert two == [((1, 2), (3,)), ((1, 3), (2,))]
-    assert enumerate_ssyt((1, 1), (2, 0)) == []
+    assert ssyt((1, 1), (2, 0)) == []
     for lam in [(2,), (2, 1), (3, 2), (2, 2, 1)]:
-        only = enumerate_ssyt(lam, lam)
+        only = ssyt(lam, lam)
         assert len(only) == 1
         assert only[0] == tuple((i + 1,) * width for i, width in enumerate(lam))
 
@@ -245,7 +251,7 @@ def test_enumerate_ssyt_examples():
 def test_enumerate_ssyt_is_semistandard():
     for shape in [(3, 1), (2, 2), (3, 2, 1)]:
         for content in enumerate_dimvecs(3, sum(shape)):
-            for t in enumerate_ssyt(shape, content):
+            for t in ssyt(shape, content):
                 for row in t:
                     assert all(a <= b for a, b in zip(row, row[1:]))
                 for i in range(1, len(t)):
@@ -261,19 +267,19 @@ def test_enumerate_ssyt_is_semistandard():
 def test_ssyt_count_invariant_under_content_permutation():
     for shape in [(3, 1), (2, 2), (2, 1, 1)]:
         for content in enumerate_dimvecs(3, 4):
-            base = len(enumerate_ssyt(shape, content))
+            base = len(ssyt(shape, content))
             for perm in set(permutations(content)):
-                assert len(enumerate_ssyt(shape, perm)) == base
+                assert len(ssyt(shape, perm)) == base
 
 
 def test_enumerate_ssyt_against_cell_search():
-    # the strip-by-strip tableaux are the cell-by-cell ones, in the same
-    # order, for every shape of size <= 7 and content of length <= 4
+    # the strip-by-strip tableaux, sorted, are the cell-by-cell ones, for
+    # every shape of size <= 7 and content of length <= 4
     pairs = [(shape, content) for d in range(1, 8) for shape in all_partitions(d)
              for k in range(1, 5) for content in enumerate_dimvecs(k, d)]
     assert len(pairs) == 4818
     for shape, content in pairs:
-        assert enumerate_ssyt(shape, content) == ssyt_by_cells(shape, content), (shape, content)
+        assert ssyt(shape, content) == ssyt_by_cells(shape, content), (shape, content)
     # Kostka numbers counted by strips build no tableau; they match the count
     kostka_pairs = [(shape, weight) for d in range(1, 10) for shape in all_partitions(d)
                     for weight in all_partitions(d)]
@@ -298,7 +304,7 @@ def test_kostka_vanishing_outside_dominance():
         for shape in parts:
             for weight in parts:
                 k = kostka_number(shape, weight)
-                if not dominates(shape, weight):
+                if not _dominates(shape, weight):
                     assert k == 0, (shape, weight)
                 else:
                     assert k >= 1, (shape, weight)
@@ -328,9 +334,9 @@ def test_hooks_and_syt_count():
 
 
 def test_schur_dim_examples():
-    assert schur_dim((2, 1), 2) == 2
-    assert schur_dim((3,), 2) == 4
-    assert schur_dim((1, 1, 1), 2) == 0
+    assert _schur_dim((2, 1), 2) == 2
+    assert _schur_dim((3,), 2) == 4
+    assert _schur_dim((1, 1, 1), 2) == 0
 
 
 def test_schur_dim_equals_kostka_weight_sum():
@@ -341,13 +347,13 @@ def test_schur_dim_equals_kostka_weight_sum():
                     continue
                 weight_sum = sum(
                     kostka_number(lam, dv) for dv in enumerate_dimvecs(n, d))
-                assert schur_dim(lam, n) == weight_sum, (lam, n)
+                assert _schur_dim(lam, n) == weight_sum, (lam, n)
 
 
 def test_tensor_power_dimension_sum():
     for n in range(1, 5):
         for d in range(1, 7):
             total = sum(
-                syt_count(p) * schur_dim(conjugate(p), n)
+                syt_count(p) * _schur_dim(conjugate(p), n)
                 for p in enumerate_partitions(n, d))
             assert total == n**d, (n, d)

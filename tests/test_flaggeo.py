@@ -25,7 +25,7 @@ from nilflag.flaggeo import (
     fiber_polynomial,
     is_prime,
 )
-from nilflag.qpoly import LaurentPoly, gaussian_binomial
+from nilflag.qpoly import LaurentPoly
 from oracles import (
     FqMatrix,
     FqSubspace,
@@ -36,6 +36,7 @@ from oracles import (
     enumerate_subspaces,
     fiber_poly_by_strips,
     full_space,
+    gauss_poly,
     interpolate,
     is_zero,
     jordan_matrix,
@@ -146,7 +147,7 @@ def test_enumerate_subspaces_counts_and_uniqueness():
                     # rows are already canonical
                     again = FqSubspace.span(s.rows, p, ambient=m)
                     assert again.rows == s.rows
-                assert len(seen) == gaussian_binomial(m, k)(p)
+                assert len(seen) == gauss_poly(m, k)(p)
     with pytest.raises(ValueError):
         list(enumerate_subspaces(full_space(2, 2), 3))
     # bases on columns 0, 2, 3 of F_3^5: zero off them, one per distinct span
@@ -154,7 +155,7 @@ def test_enumerate_subspaces_counts_and_uniqueness():
     bases = [rows for _, rows in echelon_bases(cols, k, p, 5)]
     assert all(row[j] == 0 for rows in bases for row in rows for j in (1, 4))
     spans = {FqSubspace.span(rows, p, ambient=5).rows for rows in bases}
-    assert len(spans) == len(bases) == gaussian_binomial(len(cols), k)(p)
+    assert len(spans) == len(bases) == gauss_poly(len(cols), k)(p)
 
 
 def test_enumerate_subspaces_of_proper_ambient():
@@ -162,7 +163,7 @@ def test_enumerate_subspaces_of_proper_ambient():
     ker = kernel_subspace(a)
     assert ker.dim == 2
     lines = list(enumerate_subspaces(ker, 1))
-    assert len(lines) == gaussian_binomial(2, 1)(3) == 4
+    assert len(lines) == gauss_poly(2, 1)(3) == 4
     for line in lines:
         assert contains(ker, line)
         assert line.rows == FqSubspace.span(line.rows, 3, ambient=3).rows
@@ -241,7 +242,7 @@ def test_kernel_quotient_tally_against_matrix_route():
                     oracle = Counter(_induced_type(acols, v.pivots, v.rows, d, p)
                                      for v in enumerate_subspaces(ker, m))
                     assert dict(tally) == oracle, (lam, m, p)
-                    assert budget.used == gaussian_binomial(len(lam), m)(p)
+                    assert budget.used == gauss_poly(len(lam), m)(p)
                     tallies += 1
     assert tallies == 272
 
@@ -254,7 +255,7 @@ def test_right_pivot_census_against_elimination():
     for p in (2, 3, 5, 7, 11, 13):
         for ell in range(1, 7 if p <= 7 else 4):
             for k in range(1, ell + 1):
-                if gaussian_binomial(ell, k)(p) > 10**5:
+                if gauss_poly(ell, k)(p) > 10**5:
                     continue
                 oracle = Counter(tuple(sorted(right_pivots(rows, p)))
                                  for _, rows in echelon_bases(range(ell), k, p, ell))
@@ -298,7 +299,7 @@ def test_right_pivots_against_reversed_rref():
                     assert right_pivots(padded, p) == expected, (padded, p)
                     subspaces += 1
     assert subspaces == sum(
-        gaussian_binomial(m, k)(p) for p in (2, 3, 5) for m in range(1, 5) for k in range(m + 1))
+        gauss_poly(m, k)(p) for p in (2, 3, 5) for m in range(1, 5) for k in range(m + 1))
 
 
 def test_right_pivots_of_zero_and_dependent_rows():
@@ -420,7 +421,7 @@ def test_zero_matrix_counts_are_gaussian_products():
                     expected = 1
                     left = d
                     for step in dv:
-                        expected *= gaussian_binomial(left, step)(p)
+                        expected *= gauss_poly(left, step)(p)
                         left -= step
                     assert fiber_count((1,) * d, dv, p) == expected
 

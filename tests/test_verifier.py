@@ -14,65 +14,64 @@ from nilflag.combinatorics import (
     sorted_weight,
 )
 from nilflag.flaggeo import Budget, fiber_count, fiber_polynomial
-from nilflag.qpoly import LaurentPoly, gaussian_binomial, modified_kostka_foulkes
+from nilflag.qpoly import LaurentPoly, _modified_kostka_foulkes
 from nilflag.verifier import (
+    DEFAULT_PRIMES,
+    _character_side,
     bootstrap_stalks,
     run_suite,
-    trace_identity_rhs,
     verify_schur_weyl,
     verify_semismall,
     verify_stalk_bootstrap,
     verify_stalk_hypothesis,
     verify_top_components,
-    verify_trace_identity,
     verify_young_rule,
 )
 from oracles import (
     CACHES,
     dimvec_classes_by_grouping,
     expand_witnesses,
+    gauss_poly,
     refines_by_packing,
     rhs_by_definition,
 )
 
 
+def trace_identity_check(n, d, *, mode="polynomial", primes=DEFAULT_PRIMES,
+                         convention="standard", budget=None):
+    """The trace identity check alone, on options that run_suite accepts."""
+    return verifier._trace_identity(n, d, mode, list(primes), convention, budget or Budget())
+
+
 class TestTraceIdentityRhs:
     def test_worked_pairs(self):
-        assert trace_identity_rhs(2, 2, (1, 1), (1, 1)) == LaurentPoly({1: 1, 0: 1})
-        assert trace_identity_rhs(2, 2, (2,), (2, 0)) == LaurentPoly()
-        assert trace_identity_rhs(3, 3, (2, 1), (1, 1, 1)) == LaurentPoly({1: 2, 0: 1})
-
-    def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            trace_identity_rhs(2, 2, (1, 1), (1, 1), convention="other")
-        for lam, dv in [((1, 2), (2, 1)), ((2, 1), (1, 1)), ((1, 1), (2, 1)),
-                        ((2, 1), (1, 1, 1)), ((2, 1), (3, -1))]:
-            with pytest.raises(ValueError):
-                trace_identity_rhs(2, 3, lam, dv)
+        rhs = _character_side(2, 2, "standard")
+        assert rhs((1, 1), (1, 1)) == LaurentPoly({1: 1, 0: 1})
+        assert rhs((2,), (2,)) == LaurentPoly()
+        assert _character_side(3, 3, "standard")((2, 1), (1, 1, 1)) == LaurentPoly({1: 2, 0: 1})
 
     def test_depends_on_dv_only_through_its_weight(self):
+        # the right side at dv's sorted weight against the tableaux of dv itself
         for convention in ("standard", "literal-paper"):
             for n in range(1, 5):
                 for d in range(1, 6):
+                    rhs = _character_side(n, d, convention)
                     for lam in enumerate_partitions(n, d):
                         for dv in enumerate_dimvecs(n, d):
-                            weight = tuple(sorted(dv, reverse=True))
-                            rhs = trace_identity_rhs(n, d, lam, dv, convention)
-                            assert rhs == trace_identity_rhs(n, d, lam, weight, convention)
-                            assert rhs == rhs_by_definition(n, d, lam, dv, convention), (
-                                convention, lam, dv)
+                            assert rhs(lam, sorted_weight(dv)) == rhs_by_definition(
+                                n, d, lam, dv, convention), (convention, lam, dv)
 
 
 class TestTraceIdentity:
     def test_polynomial_mode_small_grid(self):
         for n, d in [(2, 2), (2, 3), (3, 3), (2, 4)]:
-            result = verify_trace_identity(n, d)
+            result = trace_identity_check(n, d)
             assert result.status == "pass", (n, d, result.witnesses[:2])
             pairs = len(enumerate_partitions(n, d)) * len(enumerate_dimvecs(n, d))
             assert result.cases == pairs
 
     def test_numeric_mode(self):
-        result = verify_trace_identity(3, 4, mode="numeric", primes=[2, 3])
+        result = trace_identity_check(3, 4, mode="numeric", primes=[2, 3])
         assert result.status == "pass"
         pairs = len(enumerate_partitions(3, 4)) * len(enumerate_dimvecs(3, 4))
         assert result.cases == pairs * 2
@@ -85,13 +84,13 @@ class TestTraceIdentity:
         # p = 3.  Zero jumps are dropped, so no tally has d1 = 0.
         budget = Budget()
         before = flaggeo.STATS["subspaces"]
-        result = verify_trace_identity(6, 6, mode="numeric", primes=[2, 3], budget=budget)
+        result = trace_identity_check(6, 6, mode="numeric", primes=[2, 3], budget=budget)
         assert result.status == "pass"
         assert budget.used == 4201
         assert flaggeo.STATS["subspaces"] - before == 4201
         assert len(budget.tally) == 132
         assert all(d1 >= 1 for _, d1, _ in budget.tally)
-        assert 4201 == sum(gaussian_binomial(len(lam), d1)(p) for lam, d1, p in budget.tally)
+        assert 4201 == sum(gauss_poly(len(lam), d1)(p) for lam, d1, p in budget.tally)
 
     def test_fiber_counted_once_per_nonzero_composition(self, monkeypatch):
         # numeric (6,6) at p = 2, 3: 462 dvs fall into 32 nonzero
@@ -106,7 +105,7 @@ class TestTraceIdentity:
 
         monkeypatch.setattr(verifier, "_fiber_count", counted)
         budget = Budget()
-        result = verify_trace_identity(6, 6, mode="numeric", primes=[2, 3], budget=budget)
+        result = trace_identity_check(6, 6, mode="numeric", primes=[2, 3], budget=budget)
         assert result.status == "pass"
         assert result.cases == 11 * 462 * 2
         assert len(calls) == len(set(calls)) == 704
@@ -129,19 +128,19 @@ class TestTraceIdentity:
         monkeypatch.setattr(verifier, "_character_side", counted)
         for n, d, classes in [(4, 5, 36), (3, 5, 25)]:
             calls.clear()
-            result = verify_trace_identity(n, d)
+            result = trace_identity_check(n, d)
             assert result.status == "pass"
             pairs = len(enumerate_partitions(n, d)) * len(enumerate_dimvecs(n, d))
             assert result.cases == pairs
             assert len(calls) == len(set(calls)) == classes
 
     def test_literal_paper_pairing_fails_with_witness(self):
-        result = verify_trace_identity(2, 2, convention="literal-paper")
+        result = trace_identity_check(2, 2, convention="literal-paper")
         assert result.status == "fail"
         witnesses = {(tuple(w["lambda"]), tuple(w["dimvec"])) for w in result.witnesses}
         assert ((2,), (2, 0)) in witnesses
         # and the repaired pairing passes
-        assert verify_trace_identity(2, 2).status == "pass"
+        assert trace_identity_check(2, 2).status == "pass"
 
     @pytest.mark.parametrize("n,d,mode", [(3, 4, "polynomial"), (3, 4, "numeric"),
                                           (4, 5, "numeric")])
@@ -150,8 +149,8 @@ class TestTraceIdentity:
         # witness per failing class names exactly the (lam, dv, q) that fail
         # when fiber_count meets the character side's definition dv by dv
         primes = [2, 3]
-        result = verify_trace_identity(n, d, mode=mode, primes=primes,
-                                       convention="literal-paper")
+        result = trace_identity_check(n, d, mode=mode, primes=primes,
+                                      convention="literal-paper")
         failing = set()
         for lam in enumerate_partitions(n, d):
             for dv in enumerate_dimvecs(n, d):
@@ -229,7 +228,7 @@ class TestBootstrap:
                 for P in enumerate_partitions(n, d):
                     assert table[P, P] == LaurentPoly({-(orbit_dim(P) // 2): 1})
                     for lam in enumerate_partitions(n, d):
-                        expected = modified_kostka_foulkes(P, lam).shift(-shift)
+                        expected = _modified_kostka_foulkes(P, lam).shift(-shift)
                         assert table[P, lam] == expected
 
 
@@ -509,9 +508,9 @@ class TestFailureBranches:
         real = verifier._modified_kostka_foulkes
         monkeypatch.setattr(verifier, "_modified_kostka_foulkes",
                             lambda P, lam: real(P, lam) + 1)
-        monkeypatch.setattr(verifier, "_fiber_poly",
-                            lambda lam, dv: verifier.trace_identity_rhs(2, 2, lam, dv))
-        result = verify_trace_identity(2, 2, mode=mode, primes=[2, 3])
+        rhs = _character_side(2, 2, "standard")
+        monkeypatch.setattr(verifier, "_fiber_poly", lambda lam, dv: rhs(lam, sorted_weight(dv)))
+        result = trace_identity_check(2, 2, mode=mode, primes=[2, 3])
         witnesses = _failed(result, {"lambda", "dimvec", "dvs", "q", "left", "right"})
         assert {w["q"] for w in witnesses} == {2, 3}
 
