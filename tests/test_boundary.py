@@ -56,11 +56,17 @@ REJECTED = {
 SIZED = ("verify_semismall", "verify_top_components", "verify_schur_weyl",
          "verify_stalk_bootstrap", "bootstrap_stalks", "run_suite",
          "enumerate_dimvecs", "enumerate_partitions")
-# each refuses n = 0 and d = 0 rather than report a failed check, and the
-# refusal names the values: case -> (name, n, d)
+SIZED_CALLS = {name: getattr(nilflag, name) for name in SIZED}
+# the trace identity check, which only run_suite reaches, given the options
+# that only it reads and a bad prime: its size is still refused first, as
+# in `verify --n 0 --d 3 --mode numeric --primes 4`
+SIZED_CALLS["verify_trace_identity"] = partial(
+    nilflag.run_suite, mode="numeric", primes=[BAD_PRIME])
+# each check refuses n = 0 and d = 0 rather than report a failed check, and
+# the refusal names the values: case -> (name, n, d)
 ND_REFUSALS = {
     f"{name} n={n} d={d}": (name, n, d)
-    for name in SIZED[:6]
+    for name in ("verify_trace_identity", *SIZED[:6])
     for n, d in ((0, 3), (3, 0))
 }
 ND_REFUSALS.update({
@@ -68,13 +74,13 @@ ND_REFUSALS.update({
     "enumerate_partitions n=0": ("enumerate_partitions", 0, 2),
 })
 REJECTED.update({
-    case: partial(getattr(nilflag, name), n, d) for case, (name, n, d) in ND_REFUSALS.items()
+    case: partial(SIZED_CALLS[name], n, d) for case, (name, n, d) in ND_REFUSALS.items()
 })
 # a size that is not an int is refused as such, not truncated, compared or
 # passed on to fail deeper down
 NON_INTEGER_SIZES = {
-    f"{name} n={n!r} d={d!r}": partial(getattr(nilflag, name), n, d)
-    for name in SIZED
+    f"{name} n={n!r} d={d!r}": partial(call, n, d)
+    for name, call in SIZED_CALLS.items()
     for n, d in ((2.5, 3), (3, "3"))
 }
 NON_INTEGER_SIZES["verify_young_rule d=3.5"] = partial(nilflag.verify_young_rule, 3.5)

@@ -50,6 +50,16 @@ class TestTraceIdentityRhs:
         assert rhs((2,), (2,)) == LaurentPoly()
         assert _character_side(3, 3, "standard")((2, 1), (1, 1, 1)) == LaurentPoly({1: 2, 0: 1})
 
+    def test_bad_convention(self, monkeypatch):
+        # run_suite refuses a convention before the right side is built
+        def built(*args):
+            raise AssertionError("right side built")
+
+        monkeypatch.setattr(verifier, "_character_side", built)
+        for convention in ("other", "Standard", None):
+            with pytest.raises(ValueError, match=r"^convention must be one of "):
+                run_suite(2, 2, convention=convention)
+
     def test_depends_on_dv_only_through_its_weight(self):
         # the right side at dv's sorted weight against the tableaux of dv itself
         for convention in ("standard", "literal-paper"):
