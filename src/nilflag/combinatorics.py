@@ -50,15 +50,13 @@ def check_partition(parts) -> Partition:
     return p
 
 
-def check_dimvec(entries, n: int | None = None) -> DimVector:
-    """Validate a dimension vector; optionally pin its length to n."""
+def check_dimvec(entries) -> DimVector:
+    """Validate a dimension vector; return a tuple."""
     dv = tuple(map(check_int, entries))
     if not dv:
         raise ValueError("dimension vector needs at least one entry")
     if any(x < 0 for x in dv):
         raise ValueError(f"dimension vector entries must be non-negative: {dv}")
-    if n is not None and len(dv) != n:
-        raise ValueError(f"expected {n} entries, got {len(dv)}: {dv}")
     return dv
 
 

@@ -56,15 +56,15 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Caps the subspaces one run enumerates, and holds what they paid for.
+    """Caps the subspaces one run enumerates, and holds the tables it fills.
 
-    A run is one fiber_count or fiber_count_brute call given an int or
-    None, or every call sharing this Budget; charge is the one place
-    where enumeration is paid for and counted.  The memo p -> {(Jordan
-    type, remaining nonzero jumps) -> count} and the tally (Jordan type,
-    first jump, p) -> ((quotient type, multiplicity), ...) live here, so
-    a count is reused only under the budget that was charged for it and
-    an outcome never depends on what the process computed before.
+    A run is every call sharing this Budget, or one call given none;
+    charge is the one place where enumeration is paid for and counted.
+    The memo p -> {(Jordan type, remaining nonzero jumps) -> count}, the
+    tally (Jordan type, first jump, p) -> ((quotient type, multiplicity),
+    ...) and the Hall memo B -> {same key -> value at q = 2^B}, apart as
+    2^B = 2 is a prime, live here: no outcome depends on what the process
+    computed before, nor is a count reused under a budget not charged for it.
     """
 
     def __init__(self, limit: int | None = None):
@@ -74,6 +74,7 @@ class Budget:
         self.used = 0
         self.memo: dict[int, dict[tuple, int]] = {}
         self.tally: dict[tuple, tuple] = {}
+        self.hall: dict[int, dict[tuple, int]] = {}
 
     def charge(self, amount: int) -> None:
         """Pay for a batch of amount subspaces before enumerating it."""
@@ -411,13 +412,9 @@ def _strip_tally(lam: Partition, m: int, q: int) -> tuple[tuple[Partition, int],
     return tuple(out)
 
 
-# B -> {(Jordan type, remaining jumps) -> count at q = 2^B}; nothing is enumerated
-_POLY_MEMO: dict[int, dict[tuple, int]] = {}
-
-
-def _fiber_poly(lam: Partition, dimvec: DimVector) -> LaurentPoly:
+def _fiber_poly(lam: Partition, dimvec: DimVector, budget: Budget) -> LaurentPoly:
     bits = factorial(sum(lam)).bit_length()
-    memo = _POLY_MEMO.setdefault(bits, {})
+    memo = budget.hall.setdefault(bits, {})
     total = _flag_sum(lam, _nonzero(dimvec), lambda mu, m: _strip_tally(mu, m, 1 << bits), memo)
     return _digits(total, bits)
 
@@ -438,4 +435,4 @@ def fiber_polynomial(lam, dimvec) -> LaurentPoly:
     dimvec = check_dimvec(dimvec)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    return _fiber_poly(lam, dimvec)
+    return _fiber_poly(lam, dimvec, Budget())

@@ -3,12 +3,12 @@
 A LaurentPoly is a finitely supported map exponent -> integer
 coefficient; exponents may be negative.  Coefficients are Python ints,
 so arbitrary precision comes for free.  On top of the ring live the
-charge of a tableau word (_charge), the cached table of modified
-Kostka-Foulkes polynomials that runs read, and its reflection
-kostka_foulkes, the one export here that checks its input.  _gauss gives
-a Gaussian binomial as an int at one integer q by its product formula,
-with no cache; _digits reads a polynomial with coefficients in [0, 2^B)
-back from its value at q = 2^B.
+charge of a tableau word (_charge), the modified Kostka-Foulkes
+polynomial that runs read, and its reflection kostka_foulkes, the one
+export here that checks its input; nothing here is cached, so a run
+keeps what it reuses.  _gauss gives a Gaussian binomial as an int at one
+integer q by its product formula; _digits reads a polynomial with
+coefficients in [0, 2^B) back from its value at q = 2^B.
 
 Canonical text form: descending exponents, "q^2+q+1" style, with
 explicit negative exponents as in "q^-1+2q^-2".
@@ -17,7 +17,6 @@ explicit negative exponents as in "q^-1+2q^-2".
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 
 from .combinatorics import (
     Partition,
@@ -180,7 +179,6 @@ def _charge(w: list[int]) -> int:
     return total
 
 
-@cache
 def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
     """q^{n(weight)} * kostka_foulkes(shape, weight)(1/q), for valid partitions."""
     top = n_stat(weight)
@@ -192,7 +190,7 @@ def kostka_foulkes(shape, weight) -> LaurentPoly:
 
     Weight must be a partition.  The value at q=1 is the Kostka number;
     the zero polynomial is returned when no tableaux exist.  It is the
-    reflection of the cached table _modified_kostka_foulkes.
+    reflection of _modified_kostka_foulkes.
     """
     shape, weight = check_partition(shape), check_partition(weight)
     if sum(shape) != sum(weight):

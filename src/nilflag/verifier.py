@@ -95,18 +95,20 @@ def _character_side(n: int, d: int, convention: str):
     """(lam, sorted weight of dv) -> the right side at (lam, dv), for one run.
 
     q^(flag_dim(dv) - n_stat(1^d)) times the orbit sum over admissible P
-    of the cached modified charge polynomial at (P, lam), weighted by the
-    multiplicity of dv in P's module: that of conjugate(P) under the
-    standard convention, of P under literal-paper, which is kept only to
-    show it fails.  Multiplicities and flag_dim ignore the order of dv.
+    of the modified charge polynomial at (P, lam), built for every lam at
+    the start, weighted by the multiplicity of dv in P's module: that of
+    conjugate(P) under the standard convention, of P under literal-paper,
+    kept only to show it fails.  Multiplicities and flag_dim ignore dv's order.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) if convention == "standard" else P for P in parts}
     base = n_stat((1,) * d)
+    charges: dict[Partition, dict[Partition, LaurentPoly]] = {}
+    for lam in parts:
+        charges[lam] = {P: _modified_kostka_foulkes(P, lam) for P in parts}
 
     def rhs(lam: Partition, weight: Partition) -> LaurentPoly:
-        stalks = {P: _modified_kostka_foulkes(P, lam) for P in parts}
-        return _orbit_sum(stalks, shapes, weight, flag_dim(weight) - base)
+        return _orbit_sum(charges[lam], shapes, weight, flag_dim(weight) - base)
 
     return rhs
 
@@ -189,7 +191,7 @@ def _trace_identity(n: int, d: int, mode: str, count_primes: list[int], conventi
             sides[lam, weight] = rhs, [rhs(q) for q in count_primes]
         rhs, right_vals = sides[lam, weight]
         if mode == "polynomial":
-            lhs = _fiber_poly(lam, dv)
+            lhs = _fiber_poly(lam, dv, budget)
             if lhs != rhs:
                 yield {"left": lhs.to_text(), "right": rhs.to_text()}
                 return
@@ -202,7 +204,8 @@ def _trace_identity(n: int, d: int, mode: str, count_primes: list[int], conventi
     return _each_pair("trace_identity", n, d, per_pair, failures)
 
 
-def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], LaurentPoly]:
+def bootstrap_stalks(n: int, d: int, *,
+                     budget=None) -> dict[tuple[Partition, Partition], LaurentPoly]:
     """The stalk traces {(P, lam): t_P(lam)}, solved from normalized fiber polynomials.
 
     For each lam, the equations over all dimension vectors dv read
@@ -215,6 +218,7 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
     checked once, at its composition, against an orbit sum per weight.
     """
     parts = enumerate_partitions(n, d)
+    budget = _as_budget(budget)
     shapes = {P: conjugate(P) for P in parts}
     order = sorted(parts, key=lambda P: shapes[P], reverse=True)
     classes = _dimvec_classes(n, d)
@@ -224,7 +228,7 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
     for lam in parts:
         # each class's normalized fiber, keyed on its composition;
         # the pivot row of P is the class of conjugate(P)
-        normalized = {dims: _fiber_poly(lam, dims).shift(-flag_dim(weight))
+        normalized = {dims: _fiber_poly(lam, dims, budget).shift(-flag_dim(weight))
                       for weight, dims, _ in classes}
         solved: dict[Partition, LaurentPoly] = {}
         for P in order:
@@ -242,7 +246,7 @@ def bootstrap_stalks(n: int, d: int) -> dict[tuple[Partition, Partition], Lauren
     return table
 
 
-def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, dict | None]:
+def verify_stalk_bootstrap(n: int, d: int, *, budget=None) -> tuple[CheckResult, dict | None]:
     """Solve the stalk systems and validate the table invariants.
 
     Invariants: t_P(lam) vanishes unless P dominates lam, and
@@ -252,7 +256,7 @@ def verify_stalk_bootstrap(n: int, d: int) -> tuple[CheckResult, dict | None]:
     parts = enumerate_partitions(n, d)
     cases = len(parts) * comb(n + d - 1, d)  # consistency equations, one per dv
     try:
-        table = bootstrap_stalks(n, d)
+        table = bootstrap_stalks(n, d, budget=budget)
     except ValueError as exc:
         return CheckResult("stalk_bootstrap", 0, [{"error": str(exc)}]), None
     for P in parts:
@@ -299,7 +303,7 @@ def verify_stalk_hypothesis(table: dict) -> CheckResult:
     return CheckResult("stalk_hypothesis", cases, witnesses)
 
 
-def verify_semismall(n: int, d: int) -> CheckResult:
+def verify_semismall(n: int, d: int, *, budget=None) -> CheckResult:
     """Degree bounds on every fiber polynomial.
 
     deg <= flag_dim(dv) - orbit_dim(lam)/2 per component, and
@@ -307,9 +311,10 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     """
     dims = {lam: orbit_dim(lam) for lam in enumerate_partitions(n, d)}
     cone = _nilcone_dim(n, d)
+    budget = _as_budget(budget)
 
     def failures(lam, weight, dv):
-        deg = _fiber_poly(lam, dv).degree()
+        deg = _fiber_poly(lam, dv, budget).degree()
         limit = min(flag_dim(weight) - dims[lam] // 2, (cone - dims[lam]) // 2)
         if deg is not None and deg > limit:
             yield {"degree": deg, "bound": limit}
@@ -317,7 +322,7 @@ def verify_semismall(n: int, d: int) -> CheckResult:
     return _each_pair("semismall", n, d, 1, failures)
 
 
-def verify_top_components(n: int, d: int) -> CheckResult:
+def verify_top_components(n: int, d: int, *, budget=None) -> CheckResult:
     """Top coefficients of fiber polynomials against weight multiplicities.
 
     The coefficient at degree flag_dim(dv) - orbit_dim(lam)/2 must equal
@@ -325,11 +330,12 @@ def verify_top_components(n: int, d: int) -> CheckResult:
     components of the fiber piece.
     """
     tops = {lam: (orbit_dim(lam) // 2, conjugate(lam)) for lam in enumerate_partitions(n, d)}
+    budget = _as_budget(budget)
 
     def failures(lam, weight, dv):
         half, shape = tops[lam]
         target = flag_dim(weight) - half
-        got = _fiber_poly(lam, dv).coeff(target)
+        got = _fiber_poly(lam, dv, budget).coeff(target)
         want = _kostka(shape, weight)
         if got != want:
             yield {"degree": target, "left": got, "right": want}
@@ -394,9 +400,9 @@ def verify_young_rule(d: int) -> CheckResult:
     return CheckResult("young_rule", cases, witnesses)
 
 
-def _guarded(name: str, thunk) -> CheckResult:
+def _guarded(name: str, check, *args, **kwargs) -> CheckResult:
     try:
-        return thunk()
+        return check(*args, **kwargs)
     except (ValueError, ArithmeticError) as exc:
         return CheckResult(name, 0, [{"error": str(exc)}])
 
@@ -414,11 +420,12 @@ def run_suite(
 
     Checks appear sorted by name; polynomial-only checks are reported as
     skipped in numeric mode.  The report carries no timestamps, so equal
-    parameters give byte-identical output.  The budget caps the subspaces
-    the whole run enumerates; running out raises BudgetExceeded, since a
-    refusal is no verdict on the identities.  Flags are counted at the
-    primes, DEFAULT_PRIMES unless given.  A bad mode, convention or prime,
-    like a negative budget, raises ValueError before any check runs.
+    parameters give byte-identical output.  The budget is the run, whose
+    tables the checks share; it caps the subspaces the run enumerates, and
+    running out raises BudgetExceeded, as a refusal is no verdict on the
+    identities.  Flags are counted at the primes, DEFAULT_PRIMES unless
+    given.  A bad mode, convention or prime, like a negative budget,
+    raises ValueError before any check runs.
     """
     n, d = check_size(n, d)
     if mode not in MODES:
@@ -434,26 +441,24 @@ def run_suite(
     budget = _as_budget(budget)
 
     checks: list[CheckResult] = []
-    checks.append(_guarded(
-        "trace_identity",
-        lambda: _trace_identity(n, d, mode, primes, convention, budget)))
+    checks.append(_guarded("trace_identity", _trace_identity,
+                           n, d, mode, primes, convention, budget))
 
     if mode == "polynomial":
-        checks.append(_guarded("semismall", lambda: verify_semismall(n, d)))
-        checks.append(_guarded("top_components", lambda: verify_top_components(n, d)))
-        bootstrap_check, table = verify_stalk_bootstrap(n, d)
+        checks.append(_guarded("semismall", verify_semismall, n, d, budget=budget))
+        checks.append(_guarded("top_components", verify_top_components, n, d, budget=budget))
+        bootstrap_check, table = verify_stalk_bootstrap(n, d, budget=budget)
         checks.append(bootstrap_check)
         if table is not None:
-            checks.append(_guarded(
-                "stalk_hypothesis", lambda: verify_stalk_hypothesis(table)))
+            checks.append(_guarded("stalk_hypothesis", verify_stalk_hypothesis, table))
         else:
             checks.append(CheckResult("stalk_hypothesis", skipped=True))
     else:
         for name in ("semismall", "top_components", "stalk_bootstrap", "stalk_hypothesis"):
             checks.append(CheckResult(name, skipped=True))
 
-    checks.append(_guarded("schur_weyl", lambda: verify_schur_weyl(n, d)))
-    checks.append(_guarded("young_rule", lambda: verify_young_rule(d)))
+    checks.append(_guarded("schur_weyl", verify_schur_weyl, n, d))
+    checks.append(_guarded("young_rule", verify_young_rule, d))
 
     params = {
         "n": n,

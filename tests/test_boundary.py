@@ -219,6 +219,5 @@ def test_checked_entry_points_are_not_called_inside_a_run(monkeypatch):
                 monkeypatch.setattr(module, name, refused(name))
     for cached in CACHES:
         cached.cache_clear()
-    monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
     for mode in ("polynomial", "numeric"):
         assert verifier.run_suite(3, 5, mode=mode).ok, mode

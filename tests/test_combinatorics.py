@@ -65,8 +65,6 @@ def test_check_dimvec():
     with pytest.raises(ValueError):
         check_dimvec([1, -1])
     with pytest.raises(ValueError):
-        check_dimvec([1, 1], n=3)
-    with pytest.raises(ValueError):
         check_dimvec([])
 
 

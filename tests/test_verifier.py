@@ -264,9 +264,9 @@ class TestDegreeChecks:
         calls = []
         fiber_poly = verifier._fiber_poly
 
-        def counted(lam, dv):
+        def counted(lam, dv, budget):
             calls.append((lam, dv))
-            return fiber_poly(lam, dv)
+            return fiber_poly(lam, dv, budget)
 
         monkeypatch.setattr(verifier, "_fiber_poly", counted)
         for n, d, polys, cases in [(4, 5, 90, 336), (3, 5, 55, 105)]:
@@ -390,7 +390,8 @@ class TestFailureBranches:
         # multiplicity is nonzero; at (4,6) a class spreads over up to 4
         # positions, and each (lam, class) is still one witness, at the
         # class's first dv, carrying the class size
-        monkeypatch.setattr(verifier, "_fiber_poly", lambda lam, dv: LaurentPoly.q_power(100))
+        monkeypatch.setattr(verifier, "_fiber_poly",
+                            lambda lam, dv, budget: LaurentPoly.q_power(100))
         for n, d in [(2, 3), (4, 6)]:
             firsts = {(lam, dims + (0,) * (n - len(dims))): (weight, size)
                       for lam in enumerate_partitions(n, d)
@@ -422,7 +423,7 @@ class TestFailureBranches:
         n, d = 2, 2
         parts = enumerate_partitions(n, d)
 
-        def fake(lam, dv):
+        def fake(lam, dv, budget):
             weight = sorted_weight(dv)
             total = sum(verifier._kostka(conjugate(P), weight) for P in parts)
             return LaurentPoly.q_power(flag_dim(dv), total)
@@ -445,7 +446,7 @@ class TestFailureBranches:
         # unable to predict it
         real = verifier._fiber_poly
         monkeypatch.setattr(verifier, "_fiber_poly",
-                            lambda lam, dv: real(lam, dv) + (dv == (1, 2)))
+                            lambda lam, dv, budget: real(lam, dv, budget) + (dv == (1, 2)))
         check, table = verify_stalk_bootstrap(2, 3)
         assert table is None and check.cases == 0
         [witness] = _failed(check, {"error"})
@@ -456,7 +457,7 @@ class TestFailureBranches:
         assert status["stalk_hypothesis"] == "skipped"
 
     def test_guarded_error_witness(self, monkeypatch):
-        def broken(lam, dv):
+        def broken(lam, dv, budget):
             raise ValueError("no polynomial")
 
         monkeypatch.setattr(verifier, "_fiber_poly", broken)
@@ -519,7 +520,8 @@ class TestFailureBranches:
         monkeypatch.setattr(verifier, "_modified_kostka_foulkes",
                             lambda P, lam: real(P, lam) + 1)
         rhs = _character_side(2, 2, "standard")
-        monkeypatch.setattr(verifier, "_fiber_poly", lambda lam, dv: rhs(lam, sorted_weight(dv)))
+        monkeypatch.setattr(verifier, "_fiber_poly",
+                            lambda lam, dv, budget: rhs(lam, sorted_weight(dv)))
         result = trace_identity_check(2, 2, mode=mode, primes=[2, 3])
         witnesses = _failed(result, {"lambda", "dimvec", "dvs", "q", "left", "right"})
         assert {w["q"] for w in witnesses} == {2, 3}
@@ -538,5 +540,21 @@ def test_a_run_multiplies_no_two_polynomials(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", int_only)
     for cached in CACHES:
         cached.cache_clear()
-    monkeypatch.setattr(flaggeo, "_POLY_MEMO", {})
     assert run_suite(4, 5, mode="polynomial").ok
+
+
+def test_a_run_owns_its_hall_memo():
+    # the fiber polynomials are memoized on the run's Budget: two runs
+    # fill equal memos, and neither reads what the other filled
+    budgets = Budget(), Budget()
+    reports = [run_suite(4, 5, budget=budget).as_dict() for budget in budgets]
+    assert reports[0] == reports[1]
+    sizes = [{bits: len(memo) for bits, memo in budget.hall.items()} for budget in budgets]
+    assert sizes[0] == sizes[1] and sum(sizes[0].values()) > 0
+    # a call fills only the Budget it is given, and at d = 1 its q = 2^B = 2
+    # keys no entry of the memo at the prime 2
+    for lam, dv in [((3, 2), (2, 2, 1)), ((1,), (1,))]:
+        given, other = Budget(), Budget()
+        assert flaggeo._fiber_poly(lam, dv, given) == fiber_polynomial(lam, dv)
+        assert given.hall and not given.memo and not given.tally
+        assert not (other.hall or other.memo or other.tally)
