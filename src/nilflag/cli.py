@@ -165,7 +165,10 @@ def run(argv=None) -> int:
         payload, code = args.handler(args)
         print(_dumps(payload, args.pretty))
         return code
-    except (BudgetExceeded, ValueError, OSError, RecursionError, MemoryError) as exc:
+    except RecursionError:
+        print("error: maximum recursion depth exceeded", file=sys.stderr)
+        return EXIT_USAGE
+    except (BudgetExceeded, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

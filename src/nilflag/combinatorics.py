@@ -123,14 +123,6 @@ def orbit_dim(lam: Partition) -> int:
     return d * d - sum(c * c for c in conjugate(lam))
 
 
-def _nilcone_dim(n: int, d: int) -> int:
-    """Dimension of the variety of d x d matrices whose n-th power vanishes:
-    the orbit dimension of the dominance-greatest type with parts at most n."""
-    k, r = divmod(d, n)
-    top = (n,) * k + ((r,) if r else ())
-    return orbit_dim(top)
-
-
 def _cut(d: int, cuts) -> tuple[int, ...]:
     """The parts of d between the weakly increasing cut points in 0..d."""
     return tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))

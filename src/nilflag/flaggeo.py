@@ -62,8 +62,9 @@ class Budget:
     charge is the one place where enumeration is paid for and counted.
     The memo p -> {(Jordan type, remaining nonzero jumps) -> count}, the
     tally (Jordan type, first jump, p) -> ((quotient type, multiplicity),
-    ...) and the Hall memo B -> {same key -> value at q = 2^B}, apart as
-    2^B = 2 is a prime, live here: no outcome depends on what the process
+    ...), the Hall memo B -> {same key -> value at q = 2^B}, apart as
+    2^B = 2 is a prime, and the charge table (P, lam) -> modified charge
+    polynomial live here: no outcome depends on what the process
     computed before, nor is a count reused under a budget not charged for it.
     """
 
@@ -75,6 +76,7 @@ class Budget:
         self.memo: dict[int, dict[tuple, int]] = {}
         self.tally: dict[tuple, tuple] = {}
         self.hall: dict[int, dict[tuple, int]] = {}
+        self.charges: dict[tuple, LaurentPoly] = {}
 
     def charge(self, amount: int) -> None:
         """Pay for a batch of amount subspaces before enumerating it."""

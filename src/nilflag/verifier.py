@@ -29,7 +29,6 @@ from .combinatorics import (
     _cut,
     _dominates,
     _kostka,
-    _nilcone_dim,
     _schur_dim,
     check_size,
     conjugate,
@@ -91,24 +90,29 @@ class VerificationReport(NamedTuple):
         return {"params": self.params, "checks": [c.as_dict() for c in self.checks]}
 
 
-def _character_side(n: int, d: int, convention: str):
+def _modified_charge(budget: Budget, P: Partition, lam: Partition) -> LaurentPoly:
+    """The modified charge polynomial at (P, lam), built on the run's first read."""
+    if (P, lam) not in budget.charges:
+        budget.charges[P, lam] = _modified_kostka_foulkes(P, lam)
+    return budget.charges[P, lam]
+
+
+def _character_side(n: int, d: int, convention: str, budget: Budget):
     """(lam, sorted weight of dv) -> the right side at (lam, dv), for one run.
 
     q^(flag_dim(dv) - n_stat(1^d)) times the orbit sum over admissible P
-    of the modified charge polynomial at (P, lam), built for every lam at
-    the start, weighted by the multiplicity of dv in P's module: that of
+    of the modified charge polynomial at (P, lam), read from the run's
+    table, weighted by the multiplicity of dv in P's module: that of
     conjugate(P) under the standard convention, of P under literal-paper,
     kept only to show it fails.  Multiplicities and flag_dim ignore dv's order.
     """
     parts = enumerate_partitions(n, d)
     shapes = {P: conjugate(P) if convention == "standard" else P for P in parts}
     base = n_stat((1,) * d)
-    charges: dict[Partition, dict[Partition, LaurentPoly]] = {}
-    for lam in parts:
-        charges[lam] = {P: _modified_kostka_foulkes(P, lam) for P in parts}
 
     def rhs(lam: Partition, weight: Partition) -> LaurentPoly:
-        return _orbit_sum(charges[lam], shapes, weight, flag_dim(weight) - base)
+        row = {P: _modified_charge(budget, P, lam) for P in parts}
+        return _orbit_sum(row, shapes, weight, flag_dim(weight) - base)
 
     return rhs
 
@@ -181,7 +185,7 @@ def _trace_identity(n: int, d: int, mode: str, count_primes: list[int], conventi
     side is built once per (lam, weight) and evaluated once per prime.
     One Budget covers every count; a refusal raises BudgetExceeded.
     """
-    rhs_at = _character_side(n, d, convention)
+    rhs_at = _character_side(n, d, convention, budget)
     # the right side and its values at the primes, per (lam, sorted weight)
     sides: dict[tuple[Partition, Partition], tuple[LaurentPoly, list]] = {}
 
@@ -282,17 +286,18 @@ def verify_stalk_bootstrap(n: int, d: int, *, budget=None) -> tuple[CheckResult,
     return CheckResult("stalk_bootstrap", cases, witnesses), table
 
 
-def verify_stalk_hypothesis(table: dict) -> CheckResult:
+def verify_stalk_hypothesis(table: dict, *, budget=None) -> CheckResult:
     """Compare solved stalk traces with the modified charge polynomials.
 
     Claim: t_P(lam) = q^(-n_stat(1^d)) * _modified_kostka_foulkes(P, lam),
-    with d = |P|.
+    with d = |P|, read from the run's charge table.
     """
     witnesses: list[dict] = []
     cases = 0
+    budget = _as_budget(budget)
     for (P, lam), value in table.items():
         cases += 1
-        expected = _modified_kostka_foulkes(P, lam).shift(-n_stat((1,) * sum(P)))
+        expected = _modified_charge(budget, P, lam).shift(-n_stat((1,) * sum(P)))
         if value != expected:
             witnesses.append({
                 "orbit": list(P),
@@ -304,18 +309,17 @@ def verify_stalk_hypothesis(table: dict) -> CheckResult:
 
 
 def verify_semismall(n: int, d: int, *, budget=None) -> CheckResult:
-    """Degree bounds on every fiber polynomial.
+    """Degree bounds on every fiber polynomial: deg <= flag_dim(dv) - orbit_dim(lam)/2.
 
-    deg <= flag_dim(dv) - orbit_dim(lam)/2 per component, and
-    deg <= (_nilcone_dim(n, d) - orbit_dim(lam))/2 globally.
+    It implies the nilcone bound (dim N_n - orbit_dim(lam))/2: 2 flag_dim(dv) = d^2 -
+    sum dv_i^2 <= dim N_n = d^2 - sum c_j^2, c the most balanced n-part composition of d.
     """
-    dims = {lam: orbit_dim(lam) for lam in enumerate_partitions(n, d)}
-    cone = _nilcone_dim(n, d)
+    halves = {lam: orbit_dim(lam) // 2 for lam in enumerate_partitions(n, d)}
     budget = _as_budget(budget)
 
     def failures(lam, weight, dv):
         deg = _fiber_poly(lam, dv, budget).degree()
-        limit = min(flag_dim(weight) - dims[lam] // 2, (cone - dims[lam]) // 2)
+        limit = flag_dim(weight) - halves[lam]
         if deg is not None and deg > limit:
             yield {"degree": deg, "bound": limit}
 
@@ -450,7 +454,8 @@ def run_suite(
         bootstrap_check, table = verify_stalk_bootstrap(n, d, budget=budget)
         checks.append(bootstrap_check)
         if table is not None:
-            checks.append(_guarded("stalk_hypothesis", verify_stalk_hypothesis, table))
+            checks.append(_guarded("stalk_hypothesis", verify_stalk_hypothesis, table,
+                                   budget=budget))
         else:
             checks.append(CheckResult("stalk_hypothesis", skipped=True))
     else:

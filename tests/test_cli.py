@@ -211,8 +211,7 @@ def test_recursion_limit_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert captured.err.startswith("error: maximum recursion depth exceeded")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: maximum recursion depth exceeded\n"
 
 
 def test_one_line_answers_past_the_recursion_limit(capsys):

@@ -7,7 +7,6 @@ from nilflag.combinatorics import (
     _coarsenings,
     _dominates,
     _kostka,
-    _nilcone_dim,
     _schur_dim,
     _ssyt,
     check_dimvec,
@@ -201,15 +200,14 @@ def test_orbit_dim_even_and_monotone():
                     assert orbit_dim(p) > orbit_dim(r), (p, r)
 
 
-def test_nilcone_dim():
-    assert _nilcone_dim(2, 2) == 2
-    assert _nilcone_dim(2, 3) == 4
-    assert _nilcone_dim(3, 3) == 6
-    # independent route: the maximum orbit dimension over admissible types
-    for n in range(1, 5):
-        for d in range(1, 7):
-            assert _nilcone_dim(n, d) == max(
-                orbit_dim(p) for p in enumerate_partitions(n, d))
+def test_flag_dim_within_the_nilcone():
+    # 2 flag_dim(dv) <= dim N_n, the largest orbit dimension over the types
+    # with parts at most n, so semismall's global bound never binds
+    for n in range(1, 6):
+        for d in range(1, 8):
+            cone = max(orbit_dim(p) for p in enumerate_partitions(n, d))
+            for dv in enumerate_dimvecs(n, d):
+                assert 2 * flag_dim(dv) <= cone, (n, d, dv)
 
 
 def test_enumerate_dimvecs():

@@ -45,10 +45,11 @@ def trace_identity_check(n, d, *, mode="polynomial", primes=DEFAULT_PRIMES,
 
 class TestTraceIdentityRhs:
     def test_worked_pairs(self):
-        rhs = _character_side(2, 2, "standard")
+        rhs = _character_side(2, 2, "standard", Budget())
         assert rhs((1, 1), (1, 1)) == LaurentPoly({1: 1, 0: 1})
         assert rhs((2,), (2,)) == LaurentPoly()
-        assert _character_side(3, 3, "standard")((2, 1), (1, 1, 1)) == LaurentPoly({1: 2, 0: 1})
+        rhs = _character_side(3, 3, "standard", Budget())
+        assert rhs((2, 1), (1, 1, 1)) == LaurentPoly({1: 2, 0: 1})
 
     def test_bad_convention(self, monkeypatch):
         # run_suite refuses a convention before the right side is built
@@ -65,7 +66,7 @@ class TestTraceIdentityRhs:
         for convention in ("standard", "literal-paper"):
             for n in range(1, 5):
                 for d in range(1, 6):
-                    rhs = _character_side(n, d, convention)
+                    rhs = _character_side(n, d, convention, Budget())
                     for lam in enumerate_partitions(n, d):
                         for dv in enumerate_dimvecs(n, d):
                             assert rhs(lam, sorted_weight(dv)) == rhs_by_definition(
@@ -126,8 +127,8 @@ class TestTraceIdentity:
         calls = []
         character_side = verifier._character_side
 
-        def counted(n, d, convention):
-            rhs = character_side(n, d, convention)
+        def counted(n, d, convention, budget):
+            rhs = character_side(n, d, convention, budget)
 
             def rhs_counted(lam, weight):
                 calls.append((lam, weight))
@@ -519,7 +520,7 @@ class TestFailureBranches:
         real = verifier._modified_kostka_foulkes
         monkeypatch.setattr(verifier, "_modified_kostka_foulkes",
                             lambda P, lam: real(P, lam) + 1)
-        rhs = _character_side(2, 2, "standard")
+        rhs = _character_side(2, 2, "standard", Budget())
         monkeypatch.setattr(verifier, "_fiber_poly",
                             lambda lam, dv, budget: rhs(lam, sorted_weight(dv)))
         result = trace_identity_check(2, 2, mode=mode, primes=[2, 3])
@@ -558,3 +559,40 @@ def test_a_run_owns_its_hall_memo():
         assert flaggeo._fiber_poly(lam, dv, given) == fiber_polynomial(lam, dv)
         assert given.hall and not given.memo and not given.tally
         assert not (other.hall or other.memo or other.tally)
+
+
+@pytest.mark.parametrize("n, d, builds", [(3, 7, 64), (7, 7, 225)])
+def test_a_run_builds_each_charge_polynomial_once(monkeypatch, n, d, builds):
+    # the trace identity's right side and stalk_hypothesis read one charge
+    # table on the run's Budget: one build per (P, lam), 64 at (3,7) and
+    # 225 at (7,7), where each reader building its own made twice as many
+    calls = []
+    real = verifier._modified_kostka_foulkes
+
+    def counted(P, lam):
+        calls.append((P, lam))
+        return real(P, lam)
+
+    monkeypatch.setattr(verifier, "_modified_kostka_foulkes", counted)
+    budget = Budget()
+    assert run_suite(n, d, budget=budget).ok
+    parts = enumerate_partitions(n, d)
+    assert len(calls) == len(set(calls)) == len(budget.charges) == len(parts) ** 2 == builds
+
+
+def test_both_charge_readers_read_the_run_table(monkeypatch):
+    # a run whose charge table is seeded one too big, and which builds
+    # nothing itself, fails both checks that read it and no other
+    def refused(P, lam):
+        raise AssertionError(f"charge polynomial at {(P, lam)} built past the seeded table")
+
+    budget = Budget()
+    parts = enumerate_partitions(2, 3)
+    budget.charges.update(((P, lam), _modified_kostka_foulkes(P, lam) + 1)
+                          for P in parts for lam in parts)
+    monkeypatch.setattr(verifier, "_modified_kostka_foulkes", refused)
+    report = run_suite(2, 3, budget=budget)
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert failed == {"trace_identity", "stalk_hypothesis"}
+    hypothesis = next(c for c in report.checks if c.name == "stalk_hypothesis")
+    assert len(hypothesis.witnesses) == hypothesis.cases == len(parts) ** 2
