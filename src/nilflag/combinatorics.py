@@ -6,9 +6,10 @@ tableau shape and a highest weight.  Dimension vectors are fixed-length
 tuples of non-negative integers recording the jumps of a partial flag.
 Both use the canonical text form "2,1" (comma-separated integers).
 
-A semistandard tableau is a chain of horizontal strips, one per letter,
-and tableaux, Kostka numbers and flaggeo's Hall tally walk the strips
-that _strips lists.  Counts are Python ints, which never wrap.
+A semistandard tableau is a chain of horizontal strips, one per letter;
+Kostka numbers, qpoly's charge walk and flaggeo's Hall tally walk the
+strips that _strips lists, and none builds a tableau.  Counts are Python
+ints, which never wrap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from itertools import accumulate, combinations, combinations_with_replacement
 
 Partition = tuple[int, ...]
 DimVector = tuple[int, ...]
-Tableau = tuple[tuple[int, ...], ...]
 
 
 def check_int(x) -> int:
@@ -152,15 +152,6 @@ def _strips(outer: Partition, size: int) -> tuple[tuple[Partition, tuple[int, ..
     gap = head - (rest[0] if rest else 0)
     return tuple(((head - b,) + inner if b < head else inner, (b,) + taken)
                  for b in range(min(gap, size) + 1) for inner, taken in _strips(rest, size - b))
-
-
-def _ssyt(shape: Partition, weight: tuple[int, ...]) -> list[Tableau]:
-    """Tableaux of a valid shape and content of equal size: the last letter
-    fills a horizontal strip, and a tableau of the strip's inner shape the rest."""
-    if not weight or len(shape) > len(weight):  # a column holds distinct letters
-        return [] if shape else [()]
-    return [tuple(row + (len(weight),) * b for row, b in zip(t + ((),) * len(taken), taken))
-            for inner, taken in _strips(shape, weight[-1]) for t in _ssyt(inner, weight[:-1])]
 
 
 def sorted_weight(content) -> Partition:

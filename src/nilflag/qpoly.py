@@ -4,10 +4,11 @@ A LaurentPoly is a finitely supported map exponent -> integer
 coefficient; exponents may be negative.  Coefficients are Python ints,
 so arbitrary precision comes for free.  On top of the ring live the
 charge of a tableau word (_charge), the modified Kostka-Foulkes
-polynomial that runs read, and its reflection kostka_foulkes, the one
-export here that checks its input; nothing here is cached, so a run
-keeps what it reuses.  _gauss gives a Gaussian binomial as an int at one
-integer q by its product formula; _digits reads a polynomial with
+polynomial that runs read, which fills each tableau's reading word in
+place strip by strip and charges it, and its reflection kostka_foulkes,
+the one export here that checks its input; nothing here is cached, so a
+run keeps what it reuses.  _gauss gives a Gaussian binomial as an int at
+one integer q by its product formula; _digits reads a polynomial with
 coefficients in [0, 2^B) back from its value at q = 2^B.
 
 Canonical text form: descending exponents, "q^2+q+1" style, with
@@ -18,13 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .combinatorics import (
-    Partition,
-    Tableau,
-    _ssyt,
-    check_partition,
-    n_stat,
-)
+from .combinatorics import Partition, _strips, check_partition, n_stat
 
 
 class LaurentPoly:
@@ -147,14 +142,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
 
-def reading_word(t: Tableau) -> tuple[int, ...]:
-    """Row-reading word: bottom row first, left to right within rows."""
-    word: list[int] = []
-    for row in reversed(tuple(t)):
-        word.extend(row)
-    return tuple(word)
-
-
 def _charge(w: list[int]) -> int:
     """Charge of a word with partition content, given as a list, which it empties:
     standard subwords are picked right to left, the letters 1, 2, ... in turn,
@@ -180,9 +167,28 @@ def _charge(w: list[int]) -> int:
 
 
 def _modified_kostka_foulkes(shape: Partition, weight: Partition) -> LaurentPoly:
-    """q^{n(weight)} * kostka_foulkes(shape, weight)(1/q), for valid partitions."""
+    """q^{n(weight)} * kostka_foulkes(shape, weight)(1/q), for valid partitions.
+
+    Each tableau's reading word (bottom row first) is filled in place, a
+    horizontal strip per letter from the last down, then charged."""
     top = n_stat(weight)
-    return LaurentPoly(Counter(top - _charge(list(reading_word(t))) for t in _ssyt(shape, weight)))
+    starts = [sum(shape[i + 1:]) for i in range(len(shape))]  # each row's offset in the word
+    word = [0] * sum(shape)
+    tally: Counter[int] = Counter()
+
+    def fill(outer: Partition, letter: int) -> None:
+        if not letter:
+            tally[top - _charge(word.copy())] += 1
+            return
+        for inner, taken in _strips(outer, weight[letter - 1]):
+            if len(inner) < letter:  # inner's first column takes distinct smaller letters
+                for start, end, b in zip(starts, outer, taken):
+                    if b:
+                        word[start + end - b:start + end] = [letter] * b
+                fill(inner, letter - 1)
+
+    fill(shape, len(weight))
+    return LaurentPoly(tally)
 
 
 def kostka_foulkes(shape, weight) -> LaurentPoly:

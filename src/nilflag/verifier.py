@@ -216,17 +216,18 @@ def bootstrap_stalks(n: int, d: int, *,
     q^(-flag_dim(dv)) * fiber_polynomial(lam, dv) =
     sum over P of t_P(lam) * kostka_number(conjugate(P), dv), the orbit
     sum.  The rows at dv = conjugate(P), one per P, are unitriangular
-    and determine the unique solution; every remaining equation is then
-    checked, and failure raises StalkConsistencyError.  Both sides depend
-    on dv only through its class in _dimvec_classes, so each class is
-    checked once, at its composition, against an orbit sum per weight.
+    and determine the unique solution.  Each sorted weight of at most n
+    parts is such a pivot row, where the solution's orbit sum is that
+    row's normalized fiber, so the remaining equations hold exactly when
+    the normalized fiber of each class equals that of its sorted weight:
+    Weyl symmetry, checked once per class of _dimvec_classes, its failure
+    raising StalkConsistencyError.
     """
     parts = enumerate_partitions(n, d)
     budget = _as_budget(budget)
     shapes = {P: conjugate(P) for P in parts}
     order = sorted(parts, key=lambda P: shapes[P], reverse=True)
     classes = _dimvec_classes(n, d)
-    weights = {weight for weight, _, _ in classes}
 
     table: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
@@ -239,13 +240,12 @@ def bootstrap_stalks(n: int, d: int, *,
             # kostka(conj P, conj P) = 1, and each Q after P in order has
             # multiplicity 0 at conj P: the Q solved so far make up the sum
             solved[P] = normalized[shapes[P]] - _orbit_sum(solved, shapes, shapes[P])
-        predictions = {weight: _orbit_sum(solved, shapes, weight) for weight in weights}
         for weight, dims, _ in classes:
-            predicted, actual = predictions[weight], normalized[dims]
-            if predicted != actual:
+            pivot, actual = normalized[weight], normalized[dims]
+            if pivot != actual:
                 raise StalkConsistencyError(
                     f"stalk system inconsistent at lam={lam}, dv={dims + (0,) * (n - len(dims))}: "
-                    f"{predicted.to_text()} != {actual.to_text()}")
+                    f"{pivot.to_text()} != {actual.to_text()}")
         table.update(((P, lam), stalk) for P, stalk in solved.items())
     return table
 

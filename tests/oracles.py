@@ -48,7 +48,8 @@ and fiber polynomials, read from one integer each, with them.
 
 ssyt_by_cells fills a shape cell by cell, row by row, with every letter
 the row to its left and the column above allow; the tests compare the
-package's strip-by-strip tableaux and Kostka numbers with it.
+package's Kostka numbers, counted by strips, and its charge polynomials,
+charged over reading words filled in place, with it.
 
 dimvec_classes_by_grouping groups the enumerated dimension vectors by
 their nonzero composition; the tests compare the checks' walk over
@@ -83,7 +84,6 @@ from nilflag import combinatorics, flaggeo
 from nilflag.combinatorics import (
     DimVector,
     Partition,
-    Tableau,
     _strips,
     check_partition,
     conjugate,
@@ -96,6 +96,7 @@ from nilflag.combinatorics import (
 from nilflag.flaggeo import Budget, _nonzero
 from nilflag.qpoly import LaurentPoly, _gauss, _modified_kostka_foulkes
 
+Tableau = tuple[tuple[int, ...], ...]
 
 CACHES = (
     combinatorics._coarsenings,

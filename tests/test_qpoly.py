@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -16,9 +17,14 @@ from nilflag.qpoly import (
     _gauss,
     _modified_kostka_foulkes,
     kostka_foulkes,
-    reading_word,
 )
-from oracles import InterpolationError, gauss_poly, interpolate, lusztig_kostka_foulkes
+from oracles import (
+    InterpolationError,
+    gauss_poly,
+    interpolate,
+    lusztig_kostka_foulkes,
+    ssyt_by_cells,
+)
 
 Q = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})
@@ -26,6 +32,11 @@ ONE = LaurentPoly({0: 1})
 
 def poly(**kw):
     return LaurentPoly({int(e): c for e, c in kw.items()})
+
+
+def reading_word(t):
+    """Row-reading word of a tableau: bottom row first, left to right within rows."""
+    return tuple(letter for row in reversed(t) for letter in row)
 
 
 def word_charge(word):
@@ -243,6 +254,23 @@ class TestModifiedKostkaFoulkes:
                     mkf = _modified_kostka_foulkes(lam, mu)
                     assert mkf(1) == kostka_number(lam, mu)
                     assert all(e >= 0 for e, _ in mkf.items())
+
+    def test_against_charge_over_cell_search(self):
+        # the words filled in place strip by strip against the reading
+        # words of the tableaux filled cell by cell, charged one by one,
+        # on every pair of partitions of d <= 9
+        pairs = tableaux = 0
+        for d in range(1, 10):
+            parts = enumerate_partitions(d, d)
+            for shape in parts:
+                for weight in parts:
+                    found = ssyt_by_cells(shape, weight)
+                    expected = Counter(n_stat(weight) - charge(t) for t in found)
+                    assert _modified_kostka_foulkes(shape, weight) == LaurentPoly(expected), \
+                        (shape, weight)
+                    pairs += 1
+                    tableaux += len(found)
+        assert (pairs, tableaux) == (1818, 9437)
 
 
 def brute_subspace_count(m, k, p):

@@ -242,6 +242,21 @@ class TestBootstrap:
                         expected = _modified_kostka_foulkes(P, lam).shift(-shift)
                         assert table[P, lam] == expected
 
+    @pytest.mark.parametrize("n, d", [(3, 6), (4, 7), (5, 5), (6, 6)])
+    def test_orbit_sum_at_each_weight_is_its_pivot_row(self, n, d):
+        # every sorted weight is the pivot row of some P, so the solved
+        # stalks' orbit sum there is that weight's normalized fiber: the
+        # identity the consistency check leans on to compare classes
+        table = bootstrap_stalks(n, d)
+        parts = enumerate_partitions(n, d)
+        shapes = {P: conjugate(P) for P in parts}
+        budget = Budget()
+        for lam in parts:
+            solved = {P: table[P, lam] for P in parts}
+            for weight in {weight for weight, _, _ in verifier._dimvec_classes(n, d)}:
+                normalized = flaggeo._fiber_poly(lam, weight, budget).shift(-flag_dim(weight))
+                assert verifier._orbit_sum(solved, shapes, weight) == normalized, (lam, weight)
+
 
 class TestDegreeChecks:
     def test_semismall(self):
