@@ -6,25 +6,22 @@ stays inside its digit and one carry test reduces it mod p.  Both routes
 that enumerate subspaces hold their vectors so.
 
 fiber_count_brute counts flags over F_p straight from the definition,
-one step at a time.  fiber_count and fiber_polynomial share one
-recursion, _flag_sum: the first flag step ranges over the subspaces U of
-the kernel, the problem descends to the quotient by U, and results are
-memoized on (Jordan type, remaining jumps).  A zero jump repeats a
-subspace, so both drop the zero jumps before the memo, and a dimension
-vector counts as its nonzero composition.  Only the tally of quotient
-types and their weights differs.  At a prime p it counts the U, kept in
-the Budget that paid for the enumeration.  When the operator vanishes,
-every m-subspace leaves type 1^(d-m), in [d; m]_p ways, and nothing is
-enumerated; otherwise each U is visited in the kernel's own coordinates
-and the quotient type is read from U's right pivots, with no matrix
-built.  _right_pivot_census walks the U as leaves of their echelon rows:
-one Gray odometer walks every row's choices at one packed add mod p
-each, and each lower row joins the prefix's packed basis through a
-table of its multiples.  For the polynomial in q, the tally is its
-closed form, the vertical-strip Hall polynomials, and no field is
-needed: the recursion adds their values at q = 2^B and reads the
-polynomial from the base-2^B digits.  Both routes at p charge the
+one step at a time.  fiber_count recurses in _flag_sum over the first
+flag step, a subspace U of the kernel, into the quotient by U, memoized
+on (Jordan type, remaining jumps); a zero jump repeats a subspace, so
+every route counts a dimension vector as its nonzero composition.  When
+the operator vanishes, every m-subspace leaves type 1^(d-m), in [d; m]_p
+ways, and nothing is enumerated; otherwise each U is visited in the
+kernel's own coordinates and the quotient type is read from U's right
+pivots, with no matrix built.  _right_pivot_census walks the U as leaves
+of their echelon rows: one Gray odometer walks every row's choices at
+one packed add mod p each, and each lower row joins the prefix's packed
+basis through a table of its multiples.  Both routes at p charge the
 Budget for each batch of subspaces, [m; k]_p, before they enumerate it.
+For the polynomial in q, the quotient types have a closed form, the
+vertical-strip Hall polynomials, taken at q = 2^B by _strip_step:
+fiber_polynomial steps along one composition, _fibers along all of them
+in one walk per Jordan type, and the base-2^B digits give the polynomial.
 """
 
 from __future__ import annotations
@@ -62,10 +59,9 @@ class Budget:
     charge is the one place where enumeration is paid for and counted.
     The memo p -> {(Jordan type, remaining nonzero jumps) -> count}, the
     tally (Jordan type, first jump, p) -> ((quotient type, multiplicity),
-    ...), the Hall memo B -> {same key -> value at q = 2^B}, apart as
-    2^B = 2 is a prime, and the charge table (P, lam) -> modified charge
-    polynomial live here: no outcome depends on what the process
-    computed before, nor is a count reused under a budget not charged for it.
+    ...), the last walk, ((lam, n), lam's fibers), and the charge table
+    (P, lam) -> modified charge polynomial live here: no outcome depends on
+    what the process computed before, nor is a count reused unpaid for.
     """
 
     def __init__(self, limit: int | None = None):
@@ -75,7 +71,7 @@ class Budget:
         self.used = 0
         self.memo: dict[int, dict[tuple, int]] = {}
         self.tally: dict[tuple, tuple] = {}
-        self.hall: dict[int, dict[tuple, int]] = {}
+        self.fibers: tuple = (None, {})
         self.charges: dict[tuple, LaurentPoly] = {}
 
     def charge(self, amount: int) -> None:
@@ -332,12 +328,10 @@ def _nonzero(dimvec: DimVector) -> DimVector:
     return tuple(filter(None, dimvec))
 
 
-def _flag_sum(lam: Partition, dims: DimVector, tally, memo: dict):
-    """Flags of type lam with jumps dims, summed over the first step.
-
-    tally(lam, m) gives each quotient type mu left by an m-subspace of
-    ker(a) with its weight: a count at one prime, or a Hall polynomial at q.
-    """
+def _flag_sum(lam: Partition, dims: DimVector, p: int, budget: Budget) -> int:
+    """Flags of type lam with jumps dims over F_p, summed over the quotient
+    types mu that a dims[0]-subspace of ker(a) leaves, times their counts."""
+    memo = budget.memo.setdefault(p, {})
     key = (lam, dims)
     hit = memo.get(key)
     if hit is not None:
@@ -349,10 +343,10 @@ def _flag_sum(lam: Partition, dims: DimVector, tally, memo: dict):
         # an n-step flag forces a^n = 0, so blocks longer than n kill the fiber
         total = 0
     else:
-        total = 0
-        rest = dims[1:]
-        for mu, weight in tally(lam, dims[0]):
-            total += weight * _flag_sum(mu, rest, tally, memo)
+        # a = 0: every d1-subspace leaves type 1^(d-d1); none is enumerated
+        tally = ([((1,) * (len(lam) - dims[0]), _gauss(len(lam), dims[0], p))] if lam[0] == 1
+                 else _kernel_quotient_tally(lam, dims[0], p, budget))
+        total = sum(weight * _flag_sum(mu, dims[1:], p, budget) for mu, weight in tally)
     memo[key] = total
     return total
 
@@ -374,17 +368,7 @@ def fiber_count(lam, dimvec, p, *, budget=None) -> int:
 
 def _fiber_count(lam: Partition, dimvec: DimVector, p: int, budget: Budget) -> int:
     """The count of fiber_count for a valid instance."""
-    dims = _nonzero(dimvec)
-    memo = budget.memo.setdefault(p, {})
-
-    def tally(lam, d1):
-        if not lam or lam[0] == 1:
-            # a = 0: every d1-subspace leaves type 1^(d-d1); none is enumerated
-            d = len(lam)
-            return (((1,) * (d - d1), _gauss(d, d1, p)),)
-        return _kernel_quotient_tally(lam, d1, p, budget)
-
-    return _named(lam, dimvec, p, _flag_sum, lam, dims, tally, memo)
+    return _named(lam, dimvec, p, _flag_sum, lam, _nonzero(dimvec), p, budget)
 
 
 @cache
@@ -414,11 +398,39 @@ def _strip_tally(lam: Partition, m: int, q: int) -> tuple[tuple[Partition, int],
     return tuple(out)
 
 
-def _fiber_poly(lam: Partition, dimvec: DimVector, budget: Budget) -> LaurentPoly:
-    bits = factorial(sum(lam)).bit_length()
-    memo = budget.hall.setdefault(bits, {})
-    total = _flag_sum(lam, _nonzero(dimvec), lambda mu, m: _strip_tally(mu, m, 1 << bits), memo)
-    return _digits(total, bits)
+def _bits(d: int) -> int:
+    """B for a size d: each fiber polynomial's coefficients lie below 2^B."""
+    return factorial(d).bit_length()
+
+
+def _strip_step(table: dict, part: int, q: int, room: int) -> dict:
+    """The types left by a part-dimensional step, weighted at q: mu gives each vertical
+    part-strip mu/nu times G_{mu,nu}(q), unless nu_1 > room, the steps to come."""
+    out: dict[Partition, int] = {}
+    for mu, weight in table.items():
+        for nu, g in _strip_tally(mu, part, q):
+            if not nu or nu[0] <= room:
+                out[nu] = out.get(nu, 0) + weight * g
+    return out
+
+
+def _fibers(lam: Partition, n: int, budget: Budget) -> dict[DimVector, int]:
+    """lam's nonzero fibers at q = 2^_bits(d) by composition of at most n parts,
+    walked part by part, first to last, and kept on the Budget until another (lam, n)."""
+    if budget.fibers[0] != (lam, n):
+        # a stack, not a recursive closure: one that names itself is a cycle,
+        # which holds each walk's fibers until a full garbage collection
+        q, out, stack = 1 << _bits(sum(lam)), {}, [((), {lam: 1}, sum(lam))]
+        while stack:
+            prefix, table, left = stack.pop()
+            if not left:
+                out[prefix] = table[()]
+                continue
+            for part in range(1 if len(prefix) < n - 1 else left, left + 1):  # a last part: all
+                if after := _strip_step(table, part, q, n - len(prefix) - 1):
+                    stack.append((prefix + (part,), after, left - part))
+        budget.fibers = (lam, n), out
+    return budget.fibers[1]
 
 
 def fiber_polynomial(lam, dimvec) -> LaurentPoly:
@@ -428,13 +440,18 @@ def fiber_polynomial(lam, dimvec) -> LaurentPoly:
     ker(a); the quotient types it can leave are the mu with lam/mu a
     vertical m-strip, reached in G_{lam,mu}(q) ways.  Summing over chains
     of strips gives the count symbolically: no primes, no enumeration.
-    The sum runs over ints at q = 2^B, B = bit_length(d!), read back in
-    base 2^B.  Each coefficient is below 2^B: sum_mu G_{lam,mu} = [len(lam); m]_q
-    <= [d; m]_q coefficientwise, so by induction each fiber polynomial is at
-    most [d; dimvec]_q, whose coefficients sum to d!/prod(dimvec_i!) <= d!.
+    The sum is _strip_step along this one composition, over ints at
+    q = 2^B, B = bit_length(d!), read back in base 2^B.  Each coefficient
+    is below 2^B: sum_mu G_{lam,mu} = [len(lam); m]_q <= [d; m]_q
+    coefficientwise, so by induction each fiber polynomial is at most
+    [d; dimvec]_q, whose coefficients sum to d!/prod(dimvec_i!) <= d!.
     """
     lam = check_partition(lam)
     dimvec = check_dimvec(dimvec)
     if sum(lam) != sum(dimvec):
         raise ValueError("partition size and dimension vector total differ")
-    return _fiber_poly(lam, dimvec, Budget())
+    dims, bits = _nonzero(dimvec), _bits(sum(lam))
+    table = {lam: 1}
+    for i, part in enumerate(dims):
+        table = _strip_step(table, part, 1 << bits, len(dims) - i - 1)
+    return _digits(table.get((), 0), bits)

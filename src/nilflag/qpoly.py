@@ -219,3 +219,11 @@ def _digits(value: int, bits: int) -> LaurentPoly:
     mask = (1 << bits) - 1
     return LaurentPoly({e: value >> bits * e & mask
                         for e in range(value.bit_length() // bits + 1)})
+
+
+def _top(value: int, bits: int) -> int | None:  # the degree of _digits(value, bits)
+    return (value.bit_length() - 1) // bits if value else None
+
+
+def _digit(value: int, bits: int, e: int) -> int:  # _digits(value, bits).coeff(e)
+    return value >> bits * e & ((1 << bits) - 1) if e >= 0 else 0

@@ -7,13 +7,13 @@ Flags are counted over F_q at the run's primes (2 and 3 unless given):
 numeric mode compares those counts with the character side, and
 polynomial mode checks the fiber polynomials against them.  The three
 checks over (lam, dv) pairs run through _each_pair, which walks the
-nonzero compositions, the key on which fibers are memoized, and reports
-a failing composition once, as one witness for all of its dvs.  The trace
-identity's right side, the stalk solve and its consistency check share
-_orbit_sum, stalk traces weighted by Kostka numbers.  Every check returns
-a CheckResult with pass/fail/skipped status and failure witnesses; a
-VerificationReport bundles them with the run parameters.  Both turn into
-plain dicts with as_dict; the command line writes them as JSON.
+nonzero compositions, the key of lam's fibers (ints at q = 2^B), and
+reports a failing composition once, as one witness for all of its dvs.
+The trace identity's right side, the stalk solve and its consistency
+check share _orbit_sum, stalk traces weighted by Kostka numbers.  Every
+check returns a CheckResult with pass/fail/skipped status and failure
+witnesses; a VerificationReport bundles them with the run parameters.
+Both turn into plain dicts with as_dict; the command line writes them as JSON.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .combinatorics import (
     sorted_weight,
     syt_count,
 )
-from .flaggeo import Budget, _as_budget, _fiber_count, _fiber_poly, check_prime
-from .qpoly import LaurentPoly, _modified_kostka_foulkes
+from .flaggeo import Budget, _as_budget, _bits, _fiber_count, _fibers, check_prime
+from .qpoly import LaurentPoly, _digit, _digits, _modified_kostka_foulkes, _top
 
 MODES = ("polynomial", "numeric")
 CONVENTIONS = ("standard", "literal-paper")
@@ -132,10 +132,10 @@ def _orbit_sum(stalks: dict, shapes: dict, weight: Partition, shift: int = 0) ->
 
 
 def _dimvec_classes(n: int, d: int) -> list[tuple[Partition, DimVector, int]]:
-    """The dvs of (n, d) by nonzero composition, the fiber memo's key, as
+    """The dvs of (n, d) by nonzero composition, the key of a fiber, as
     (sorted weight, composition, C(n, k) dvs) for each k-part one, d cut at
     k - 1 points.  Classes come lex decreasing, the order of their first
-    dvs in enumerate_dimvecs, at which the class's fibers are computed.
+    dvs in enumerate_dimvecs.
     """
     comps = sorted((_cut(d, cuts) for k in range(min(n, d))
                     for cuts in combinations(range(1, d), k)), reverse=True)
@@ -154,12 +154,12 @@ def _witness_key(w: dict):
 def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> CheckResult:
     """A check over every (lam, dv) pair, decided and reported per nonzero composition.
 
-    The one place where that rule is kept: failures(lam, weight, dv) runs
-    per class of _dimvec_classes at its composition padded with zeros, its
-    first dv, and yields the fields of each failed comparison.  Every dv of
-    the class counts as cases_per_pair cases, and each failure is one
-    witness: its dimvec is that first dv, and it stands for all "dvs" of
-    the class, every dv whose nonzero entries, in order, are its own.
+    The one place where that rule is kept: failures(lam, weight, dims, dv)
+    runs per class of _dimvec_classes at its composition and its first dv,
+    dims padded with zeros, and yields the fields of each failed comparison.
+    Every dv of the class counts as cases_per_pair cases, and each failure
+    is one witness: its dimvec is that first dv, and it stands for all
+    "dvs" of the class, every dv whose nonzero entries, in order, are its own.
     """
     witnesses: list[dict] = []
     cases = 0
@@ -169,7 +169,7 @@ def _each_pair(name: str, n: int, d: int, cases_per_pair: int, failures) -> Chec
             cases += size * cases_per_pair
             dv = dims + (0,) * (n - len(dims))
             witnesses.extend({"lambda": list(lam), "dimvec": list(dv), "dvs": size, **fields}
-                             for fields in failures(lam, weight, dv))
+                             for fields in failures(lam, weight, dims, dv))
     return CheckResult(name, cases, witnesses)
 
 
@@ -186,16 +186,17 @@ def _trace_identity(n: int, d: int, mode: str, count_primes: list[int], conventi
     One Budget covers every count; a refusal raises BudgetExceeded.
     """
     rhs_at = _character_side(n, d, convention, budget)
+    bits = _bits(d)
     # the right side and its values at the primes, per (lam, sorted weight)
     sides: dict[tuple[Partition, Partition], tuple[LaurentPoly, list]] = {}
 
-    def failures(lam, weight, dv):
+    def failures(lam, weight, dims, dv):
         if (lam, weight) not in sides:
             rhs = rhs_at(lam, weight)
             sides[lam, weight] = rhs, [rhs(q) for q in count_primes]
         rhs, right_vals = sides[lam, weight]
         if mode == "polynomial":
-            lhs = _fiber_poly(lam, dv, budget)
+            lhs = _digits(_fibers(lam, n, budget).get(dims, 0), bits)
             if lhs != rhs:
                 yield {"left": lhs.to_text(), "right": rhs.to_text()}
                 return
@@ -228,21 +229,22 @@ def bootstrap_stalks(n: int, d: int, *,
     shapes = {P: conjugate(P) for P in parts}
     order = sorted(parts, key=lambda P: shapes[P], reverse=True)
     classes = _dimvec_classes(n, d)
+    bits = _bits(d)
 
     table: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for lam in parts:
-        # each class's normalized fiber, keyed on its composition;
-        # the pivot row of P is the class of conjugate(P)
-        normalized = {dims: _fiber_poly(lam, dims, budget).shift(-flag_dim(weight))
-                      for weight, dims, _ in classes}
+        # P's pivot row is conjugate(P)'s class; a class shares its weight's flag_dim
+        fibers = _fibers(lam, n, budget)
         solved: dict[Partition, LaurentPoly] = {}
         for P in order:
             # kostka(conj P, conj P) = 1, and each Q after P in order has
             # multiplicity 0 at conj P: the Q solved so far make up the sum
-            solved[P] = normalized[shapes[P]] - _orbit_sum(solved, shapes, shapes[P])
+            row = _digits(fibers.get(shapes[P], 0), bits).shift(-flag_dim(shapes[P]))
+            solved[P] = row - _orbit_sum(solved, shapes, shapes[P])
         for weight, dims, _ in classes:
-            pivot, actual = normalized[weight], normalized[dims]
+            pivot, actual = fibers.get(weight, 0), fibers.get(dims, 0)
             if pivot != actual:
+                pivot, actual = (_digits(v, bits).shift(-flag_dim(weight)) for v in (pivot, actual))
                 raise StalkConsistencyError(
                     f"stalk system inconsistent at lam={lam}, dv={dims + (0,) * (n - len(dims))}: "
                     f"{pivot.to_text()} != {actual.to_text()}")
@@ -258,6 +260,7 @@ def verify_stalk_bootstrap(n: int, d: int, *, budget=None) -> tuple[CheckResult,
     """
     witnesses: list[dict] = []
     parts = enumerate_partitions(n, d)
+    budget = _as_budget(budget)  # a bad budget is refused, not a failed check
     cases = len(parts) * comb(n + d - 1, d)  # consistency equations, one per dv
     try:
         table = bootstrap_stalks(n, d, budget=budget)
@@ -316,9 +319,10 @@ def verify_semismall(n: int, d: int, *, budget=None) -> CheckResult:
     """
     halves = {lam: orbit_dim(lam) // 2 for lam in enumerate_partitions(n, d)}
     budget = _as_budget(budget)
+    bits = _bits(d)
 
-    def failures(lam, weight, dv):
-        deg = _fiber_poly(lam, dv, budget).degree()
+    def failures(lam, weight, dims, dv):
+        deg = _top(_fibers(lam, n, budget).get(dims, 0), bits)
         limit = flag_dim(weight) - halves[lam]
         if deg is not None and deg > limit:
             yield {"degree": deg, "bound": limit}
@@ -335,11 +339,12 @@ def verify_top_components(n: int, d: int, *, budget=None) -> CheckResult:
     """
     tops = {lam: (orbit_dim(lam) // 2, conjugate(lam)) for lam in enumerate_partitions(n, d)}
     budget = _as_budget(budget)
+    bits = _bits(d)
 
-    def failures(lam, weight, dv):
+    def failures(lam, weight, dims, dv):
         half, shape = tops[lam]
         target = flag_dim(weight) - half
-        got = _fiber_poly(lam, dv, budget).coeff(target)
+        got = _digit(_fibers(lam, n, budget).get(dims, 0), bits, target)
         want = _kostka(shape, weight)
         if got != want:
             yield {"degree": target, "left": got, "right": want}

@@ -149,6 +149,27 @@ def test_run_suite_refuses_bad_options_by_text(case):
     assert str(refused.value) == text
 
 
+# each check that reads a run's tables refuses a bad budget by text, as
+# run_suite does, rather than report it as a failed check
+BUDGET_READERS = {
+    "verify_semismall": partial(nilflag.verify_semismall, 2, 2),
+    "verify_stalk_bootstrap": partial(nilflag.verify_stalk_bootstrap, 2, 2),
+    "verify_stalk_hypothesis": lambda **kwargs: nilflag.verify_stalk_hypothesis(
+        nilflag.bootstrap_stalks(2, 2), **kwargs),
+    "verify_top_components": partial(nilflag.verify_top_components, 2, 2),
+}
+BAD_BUDGETS = {"x": "not an integer: 'x'", -1: "budget must be non-negative",
+               2.5: "not an integer: 2.5"}
+
+
+@pytest.mark.parametrize("reader", sorted(BUDGET_READERS))
+@pytest.mark.parametrize("budget", list(BAD_BUDGETS), ids=repr)
+def test_readers_refuse_a_bad_budget_by_text(reader, budget):
+    with pytest.raises(ValueError) as refused:
+        BUDGET_READERS[reader](budget=budget)
+    assert str(refused.value) == BAD_BUDGETS[budget]
+
+
 def test_non_integers_are_refused_by_name():
     with pytest.raises(ValueError, match=r"^not an integer: 3\.7$"):
         nilflag.fiber_count((2, 1), (1, 1, 1), NOT_AN_INT)

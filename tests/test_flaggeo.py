@@ -25,7 +25,7 @@ from nilflag.flaggeo import (
     fiber_polynomial,
     is_prime,
 )
-from nilflag.qpoly import LaurentPoly
+from nilflag.qpoly import LaurentPoly, _digits
 from oracles import (
     FqMatrix,
     FqSubspace,
@@ -533,6 +533,37 @@ def test_fiber_polynomial_readback_against_strip_recursion():
                 pairs += 1
                 assert fiber_polynomial(lam, dv) == fiber_poly_by_strips(lam, dv), (lam, dv)
     assert pairs == 11977
+
+
+def test_fiber_walk_against_strip_recursion():
+    # the walk over every composition of at most n parts, read in base 2^B,
+    # equals the LaurentPoly recursion for every lambda with d <= 9 and
+    # every n <= d, so the pruning by n is covered, and it yields no
+    # composition whose fiber is zero
+    values = 0
+    for d in range(1, 10):
+        bits = flaggeo._bits(d)
+        cuts = [(0, *c, d) for k in range(d) for c in combinations(range(1, d), k)]
+        compositions = [tuple(b - a for a, b in zip(c, c[1:])) for c in cuts]
+        for lam in enumerate_partitions(d, d):
+            for n in range(1, d + 1):
+                fibers = flaggeo._fibers(lam, n, Budget())
+                assert all(fibers.values()) and set(fibers) <= set(compositions)
+                for dims in compositions:
+                    if len(dims) <= n:
+                        values += 1
+                        poly = _digits(fibers.get(dims, 0), bits)
+                        assert poly == fiber_poly_by_strips(lam, dims), (lam, n, dims)
+    assert values == 56_611
+
+
+def test_fiber_polynomial_walks_one_composition():
+    # at lambda = dv = 1^60 every flag is stable: the count is [60]_q!,
+    # which a walk over all 2^59 compositions would never reach
+    factorial_60 = LaurentPoly({0: 1})
+    for i in range(1, 61):
+        factorial_60 = factorial_60 * LaurentPoly({e: 1 for e in range(i)})
+    assert fiber_polynomial((1,) * 60, (1,) * 60) == factorial_60
 
 
 # (lam, dimvec, p, count, T): T is the number of subspaces the brute

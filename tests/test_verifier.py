@@ -14,7 +14,7 @@ from nilflag.combinatorics import (
     sorted_weight,
 )
 from nilflag.flaggeo import Budget, fiber_count, fiber_polynomial
-from nilflag.qpoly import LaurentPoly, _modified_kostka_foulkes
+from nilflag.qpoly import LaurentPoly, _digits, _modified_kostka_foulkes
 from nilflag.verifier import (
     DEFAULT_PRIMES,
     _character_side,
@@ -250,11 +250,10 @@ class TestBootstrap:
         table = bootstrap_stalks(n, d)
         parts = enumerate_partitions(n, d)
         shapes = {P: conjugate(P) for P in parts}
-        budget = Budget()
         for lam in parts:
             solved = {P: table[P, lam] for P in parts}
             for weight in {weight for weight, _, _ in verifier._dimvec_classes(n, d)}:
-                normalized = flaggeo._fiber_poly(lam, weight, budget).shift(-flag_dim(weight))
+                normalized = fiber_polynomial(lam, weight).shift(-flag_dim(weight))
                 assert verifier._orbit_sum(solved, shapes, weight) == normalized, (lam, weight)
 
 
@@ -274,24 +273,38 @@ class TestDegreeChecks:
         assert fiber_polynomial((2, 1), (1, 1, 1)).coeff(1) == 2
         assert fiber_polynomial((1, 1, 1), (3, 0)).coeff(0) == 1
 
-    def test_fiber_polynomial_once_per_nonzero_composition(self, monkeypatch):
-        # (4,5): 6 lambdas and 15 nonzero compositions make 90 fiber
-        # polynomials, while each of the 6 * 56 pairs is still a case
-        calls = []
-        fiber_poly = verifier._fiber_poly
+    def test_one_walk_per_lambda_and_one_read_per_class(self, monkeypatch):
+        # (4,5): 6 lambdas, each walked once, and 15 nonzero compositions
+        # make 90 fiber reads, while each of the 6 * 56 pairs is still a case
+        walks, reads = [], []
+        bits, fibers_of = flaggeo._bits, verifier._fibers
 
-        def counted(lam, dv, budget):
-            calls.append((lam, dv))
-            return fiber_poly(lam, dv, budget)
+        class Read(dict):
+            def get(self, dims, default=None):
+                reads.append((self.lam, dims))
+                return super().get(dims, default)
 
-        monkeypatch.setattr(verifier, "_fiber_poly", counted)
-        for n, d, polys, cases in [(4, 5, 90, 336), (3, 5, 55, 105)]:
+        def walked(d):  # a walk takes its B once, and nothing else in flaggeo runs
+            walks.append(d)
+            return bits(d)
+
+        def counted(lam, n, budget):
+            fibers = Read(fibers_of(lam, n, budget))
+            fibers.lam = lam
+            return fibers
+
+        monkeypatch.setattr(flaggeo, "_bits", walked)
+        monkeypatch.setattr(verifier, "_fibers", counted)
+        for n, d, lams, polys, cases in [(4, 5, 6, 90, 336), (3, 5, 5, 55, 105)]:
             for check in (verify_semismall, verify_top_components):
-                calls.clear()
+                walks.clear()
+                reads.clear()
                 result = check(n, d)
                 assert result.status == "pass"
                 assert result.cases == cases
-                assert len(calls) == len(set(calls)) == polys
+                assert walks == [d] * lams
+                assert len(reads) == len(set(reads)) == polys
+                assert {lam for lam, _ in reads} == set(enumerate_partitions(n, d))
 
 
 class TestDimensionChecks:
@@ -406,9 +419,10 @@ class TestFailureBranches:
         # multiplicity is nonzero; at (4,6) a class spreads over up to 4
         # positions, and each (lam, class) is still one witness, at the
         # class's first dv, carrying the class size
-        monkeypatch.setattr(verifier, "_fiber_poly",
-                            lambda lam, dv, budget: LaurentPoly.q_power(100))
         for n, d in [(2, 3), (4, 6)]:
+            q_100 = {dims: 1 << 100 * flaggeo._bits(d)  # q^100, at q = 2^B
+                     for _, dims, _ in verifier._dimvec_classes(n, d)}
+            monkeypatch.setattr(verifier, "_fibers", lambda lam, n, budget: q_100)
             firsts = {(lam, dims + (0,) * (n - len(dims))): (weight, size)
                       for lam in enumerate_partitions(n, d)
                       for weight, dims, size in verifier._dimvec_classes(n, d)}
@@ -438,13 +452,15 @@ class TestFailureBranches:
         # counts that make every stalk trace t_P(lam) equal to 1
         n, d = 2, 2
         parts = enumerate_partitions(n, d)
+        bits = flaggeo._bits(d)
 
-        def fake(lam, dv, budget):
-            weight = sorted_weight(dv)
-            total = sum(verifier._kostka(conjugate(P), weight) for P in parts)
-            return LaurentPoly.q_power(flag_dim(dv), total)
+        def fake(lam, n, budget):
+            # q^flag_dim(dv) times the multiplicities summed over P, at q = 2^B
+            return {dims: sum(verifier._kostka(conjugate(P), weight) for P in parts)
+                    << bits * flag_dim(dims)
+                    for weight, dims, _ in verifier._dimvec_classes(n, d)}
 
-        monkeypatch.setattr(verifier, "_fiber_poly", fake)
+        monkeypatch.setattr(verifier, "_fibers", fake)
         check, table = verify_stalk_bootstrap(n, d)
         assert all(v == 1 for v in table.values())
         witnesses = _failed(check, {"orbit", "lambda", "value", "reason"})
@@ -460,9 +476,14 @@ class TestFailureBranches:
         # (1,2) is no pivot row of the (2,3) system, nor the nonzero
         # composition of one, so changing its count leaves the solved table
         # unable to predict it
-        real = verifier._fiber_poly
-        monkeypatch.setattr(verifier, "_fiber_poly",
-                            lambda lam, dv, budget: real(lam, dv, budget) + (dv == (1, 2)))
+        real = verifier._fibers
+
+        def off_at_one_two(lam, n, budget):
+            fibers = dict(real(lam, n, budget))
+            fibers[1, 2] = fibers.get((1, 2), 0) + 1  # the fiber plus 1
+            return fibers
+
+        monkeypatch.setattr(verifier, "_fibers", off_at_one_two)
         check, table = verify_stalk_bootstrap(2, 3)
         assert table is None and check.cases == 0
         [witness] = _failed(check, {"error"})
@@ -473,10 +494,10 @@ class TestFailureBranches:
         assert status["stalk_hypothesis"] == "skipped"
 
     def test_guarded_error_witness(self, monkeypatch):
-        def broken(lam, dv, budget):
+        def broken(lam, n, budget):
             raise ValueError("no polynomial")
 
-        monkeypatch.setattr(verifier, "_fiber_poly", broken)
+        monkeypatch.setattr(verifier, "_fibers", broken)
         report = run_suite(2, 2)
         assert not report.ok
         checks = {c.name: c for c in report.checks}
@@ -530,17 +551,17 @@ class TestFailureBranches:
 
     @pytest.mark.parametrize("mode", ["polynomial", "numeric"])
     def test_trace_identity_count_witness(self, monkeypatch, mode):
-        # a character side one too big; in polynomial mode the fiber
-        # polynomials agree with it, so only the counts at the primes differ
-        real = verifier._modified_kostka_foulkes
-        monkeypatch.setattr(verifier, "_modified_kostka_foulkes",
-                            lambda P, lam: real(P, lam) + 1)
-        rhs = _character_side(2, 2, "standard", Budget())
-        monkeypatch.setattr(verifier, "_fiber_poly",
-                            lambda lam, dv, budget: rhs(lam, sorted_weight(dv)))
+        # counts at the primes one too big; in polynomial mode the fiber
+        # polynomials still agree with the character side, so only the
+        # counts differ, at every pair and prime
+        real = verifier._fiber_count
+        monkeypatch.setattr(verifier, "_fiber_count",
+                            lambda lam, dv, q, budget: real(lam, dv, q, budget) + 1)
         result = trace_identity_check(2, 2, mode=mode, primes=[2, 3])
         witnesses = _failed(result, {"lambda", "dimvec", "dvs", "q", "left", "right"})
         assert {w["q"] for w in witnesses} == {2, 3}
+        assert all(int(w["left"]) == int(w["right"]) + 1 for w in witnesses)
+        assert len(witnesses) == 2 * len(enumerate_partitions(2, 2)) * 2  # 2 classes
 
 
 def test_a_run_multiplies_no_two_polynomials(monkeypatch):
@@ -559,21 +580,25 @@ def test_a_run_multiplies_no_two_polynomials(monkeypatch):
     assert run_suite(4, 5, mode="polynomial").ok
 
 
-def test_a_run_owns_its_hall_memo():
-    # the fiber polynomials are memoized on the run's Budget: two runs
-    # fill equal memos, and neither reads what the other filled
+def test_a_run_holds_one_lambdas_fibers():
+    # a run's Budget holds the last lambda's walk and no other: two runs
+    # end on equal walks, and neither reads what the other filled
     budgets = Budget(), Budget()
     reports = [run_suite(4, 5, budget=budget).as_dict() for budget in budgets]
     assert reports[0] == reports[1]
-    sizes = [{bits: len(memo) for bits, memo in budget.hall.items()} for budget in budgets]
-    assert sizes[0] == sizes[1] and sum(sizes[0].values()) > 0
-    # a call fills only the Budget it is given, and at d = 1 its q = 2^B = 2
-    # keys no entry of the memo at the prime 2
+    last = ((1,) * 5, 4)
+    assert budgets[0].fibers == budgets[1].fibers == (last, flaggeo._fibers(*last, Budget()))
+    # a read fills only the Budget it is given, and at d = 1 its q = 2^B = 2
+    # keys no entry of the memo at the prime 2; the next lambda replaces it
     for lam, dv in [((3, 2), (2, 2, 1)), ((1,), (1,))]:
         given, other = Budget(), Budget()
-        assert flaggeo._fiber_poly(lam, dv, given) == fiber_polynomial(lam, dv)
-        assert given.hall and not given.memo and not given.tally
-        assert not (other.hall or other.memo or other.tally)
+        fibers = flaggeo._fibers(lam, len(dv), given)
+        assert _digits(fibers[dv], flaggeo._bits(sum(lam))) == fiber_polynomial(lam, dv)
+        assert given.fibers == ((lam, len(dv)), fibers)
+        assert not given.memo and not given.tally
+        assert not (other.fibers[1] or other.memo or other.tally)
+        flaggeo._fibers((2, 1, 1, 1), 3, given)
+        assert given.fibers[0] == ((2, 1, 1, 1), 3)
 
 
 @pytest.mark.parametrize("n, d, builds", [(3, 7, 64), (7, 7, 225)])
